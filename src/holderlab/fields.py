@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "ClosedForm",
     "SourceTerm",
     "CATALOG",
+    "T_FREE",
     "expression",
     "sample",
     "interpolate_eval",
@@ -454,6 +455,10 @@ CATALOG: dict[str, Callable] = {
     "rough_power": _make_rough_power,
 }
 
+# Catalog entries whose value ignores t: a source built from one of these has
+# the same node values at every time, so they are evaluated once per grid.
+T_FREE = frozenset({"zero", "constant", "power_abs", "gaussian", "trig_series", "rough_power"})
+
 
 def expression(name: str, **params) -> Callable:
     """Closed-form expression from the fixed catalog."""
@@ -478,6 +483,21 @@ class ClosedForm:
         return self.fn()(*a)
 
 
+class _NodePlan(NamedTuple):
+    """What ``SourceTerm.eval_nodes`` reuses across calls on one grid."""
+
+    form: ClosedForm
+    grid: GridSpec
+    mesh: tuple
+    fn: Callable
+    values: np.ndarray | None  # read-only node values of a t-free form
+
+    def at(self, t: float) -> np.ndarray:
+        """Fresh node values of the form at time t."""
+        return np.broadcast_to(np.asarray(self.fn(*self.mesh, t), dtype=float),
+                               self.grid.spatial_shape()).copy()
+
+
 @dataclass
 class SourceTerm:
     """Source f with its declared L^q (space) / L^r (time) integrability."""
@@ -485,15 +505,31 @@ class SourceTerm:
     form: ClosedForm | SpaceTimeField
     q: float = math.inf
     r: float = math.inf
+    _plan: _NodePlan | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def eval_nodes(self, grid: GridSpec, t: float) -> np.ndarray:
-        """Spatial node values of f at time t."""
+        """Spatial node values of f at time t.
+
+        A catalog form in ``T_FREE`` is evaluated once per grid and the same
+        read-only array is returned at every t; other catalog forms return a
+        fresh array per call.
+        """
         if isinstance(self.form, SpaceTimeField):
             mesh = grid.node_mesh()
             tt = np.full(np.broadcast(*mesh).shape if grid.dim > 1 else mesh[0].shape, t)
             return self.form.interp(*mesh, tt)
-        return np.broadcast_to(np.asarray(self.form(*grid.node_mesh(), t), dtype=float),
-                               grid.spatial_shape()).copy()
+        plan = self._plan
+        if plan is None or plan.form is not self.form or not (plan.grid is grid or plan.grid == grid):
+            plan = self._plan = self._node_plan(grid, t)
+        return plan.at(t) if plan.values is None else plan.values
+
+    def _node_plan(self, grid: GridSpec, t: float) -> _NodePlan:
+        plan = _NodePlan(self.form, grid, grid.node_mesh(), self.form.fn(), None)
+        if self.form.expr not in T_FREE:
+            return plan
+        values = plan.at(t)
+        values.flags.writeable = False
+        return plan._replace(values=values)
 
     def as_field(self, grid: GridSpec) -> SpaceTimeField:
         if isinstance(self.form, SpaceTimeField):
@@ -532,23 +568,37 @@ def save_field(field: SpaceTimeField, path) -> None:
 
 
 def load_field(path) -> SpaceTimeField:
+    """Read a container written by :func:`save_field`.
+
+    Raises ``IoFailure`` if the file cannot be read, is not a container, has
+    a malformed or invalid grid header, or a payload whose size does not
+    match that grid.
+    """
     try:
         with open(path, "rb") as fh:
             magic = fh.readline()
             if magic != _MAGIC:
                 raise IoFailure(f"{path} is not a field container")
-            header = json.loads(fh.readline().decode())
+            header_line = fh.readline()
             raw = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read field from {path}: {exc}") from exc
-    grid = GridSpec(
-        header["dim"],
-        tuple(tuple(e) for e in header["x_extent"]),
-        tuple(header["nx"]),
-        tuple(header["t_extent"]),
-        header["nt"],
-    )
-    values = np.frombuffer(raw, dtype="<f8").reshape(grid.nt, *grid.spatial_shape()).copy()
+    try:
+        header = json.loads(header_line.decode())
+        grid = GridSpec(
+            header["dim"],
+            tuple(tuple(e) for e in header["x_extent"]),
+            tuple(header["nx"]),
+            tuple(header["t_extent"]),
+            header["nt"],
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IoFailure(f"{path} has a bad grid header: {exc!r}") from exc
+    shape = (grid.nt, *grid.spatial_shape())
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise IoFailure(f"{path} payload has {len(raw)} bytes; its grid needs {expected}")
+    values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return SpaceTimeField(grid, values, name=header.get("name", ""),
                           provenance=header.get("provenance", ""))
 

@@ -209,11 +209,15 @@ def stable_dt(grid: GridSpec, field_bound: float, grad_bound: float,
     return cfg.cfl_safety / (2.0 * d_max * inv)
 
 
+# The families whose diffusivity reads |grad u|^2; the others get grad2=None.
+_GRAD2_KINDS = (EquationKind.P_PARABOLIC, EquationKind.DOUBLY_NONLINEAR)
+
+
 def _face_diffusivity(params, cfg, u_lo, u_hi, grad2):
     """D on faces given the two adjacent node values and |grad u|^2 there."""
     kind, p, m, eps = params.kind, params.p, params.m, cfg.flux_regularization_eps
     if kind is EquationKind.HEAT:
-        return np.ones_like(grad2)
+        return np.ones_like(u_lo)
     if kind is EquationKind.P_PARABOLIC:
         return (grad2 + eps**2) ** ((p - 2.0) / 2.0)
     u_face = 0.5 * (u_lo + u_hi)
@@ -231,7 +235,8 @@ class _Stepper1D:
 
     def faces(self, u):
         grad = (u[1:] - u[:-1]) / self.dx
-        return _face_diffusivity(self.params, self.cfg, u[:-1], u[1:], grad * grad), grad
+        grad2 = grad * grad if self.params.kind in _GRAD2_KINDS else None
+        return _face_diffusivity(self.params, self.cfg, u[:-1], u[1:], grad2), grad
 
     def apply(self, u, dt, d_face, grad, f_nodes):
         flux = d_face * grad
@@ -276,14 +281,12 @@ class _Stepper2D:
     def faces(self, u):
         gx = (u[1:, :] - u[:-1, :]) / self.dx0
         gy = (u[:, 1:] - u[:, :-1]) / self.dx1
-        needs_full = self.params.kind in (EquationKind.P_PARABOLIC, EquationKind.DOUBLY_NONLINEAR)
-        if needs_full:
+        g2x = g2y = None
+        if self.params.kind in _GRAD2_KINDS:
             ty = self._grad_component(u, 1)
             tx = self._grad_component(u, 0)
             g2x = gx**2 + (0.5 * (ty[1:, :] + ty[:-1, :])) ** 2
             g2y = gy**2 + (0.5 * (tx[:, 1:] + tx[:, :-1])) ** 2
-        else:
-            g2x, g2y = gx**2, gy**2
         dx_face = _face_diffusivity(self.params, self.cfg, u[:-1, :], u[1:, :], g2x)
         dy_face = _face_diffusivity(self.params, self.cfg, u[:, :-1], u[:, 1:], g2y)
         return (dx_face, dy_face), (gx, gy)
@@ -298,6 +301,11 @@ class _Stepper2D:
         if f_nodes is not None:
             out += dt * f_nodes
             # boundary rows get overwritten by the boundary condition below
+        if self.periodic:
+            out[0, :] += dt * (fx[0, :] - fx[-1, :]) / self.dx0
+            out[:, 0] += dt * (fy[:, 0] - fy[:, -1]) / self.dx1
+            out[-1, :] = out[0, :]
+            out[:, -1] = out[:, 0]
         return out
 
     def max_d(self, d_face):
@@ -351,7 +359,9 @@ def solve(
     ----------
     params : EquationParams
     source : SourceTerm or None
-        Evaluated explicitly at each sub-step time; None means f = 0.
+        Evaluated explicitly at each sub-step time; a t-free catalog source
+        is evaluated once per grid (see ``SourceTerm.eval_nodes``).  None
+        means f = 0.
     init : ndarray or callable
         Initial spatial profile at ``grid.t_extent[0]``; a callable is
         evaluated on the spatial node mesh.

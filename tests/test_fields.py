@@ -1,12 +1,17 @@
 """Grids, interpolation, midpoint quadrature, catalog, serialization."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from holderlab.errors import EmptyIntersection, EvaluationFailure, OutOfDomain
+from holderlab.errors import EmptyIntersection, EvaluationFailure, IoFailure, OutOfDomain
 from holderlab.fields import (
+    CATALOG,
+    T_FREE,
     ClosedForm,
     GridSpec,
     Rectangle,
@@ -204,3 +209,129 @@ def test_export_csv(tmp_path):
     assert len(lines) == 1 + 2 * 3
     t, x, u = map(float, lines[2].split(","))
     assert (t, x, u) == (0.0, 0.5, 0.5)
+
+
+# One parameter set per catalog entry, valid on the 1D grid [-1, 1] and t > 0.
+CATALOG_PARAMS = {
+    "zero": {},
+    "constant": {"value": 2.5},
+    "affine": {"slopes": (1.5,), "t_slope": -0.5, "offset": 0.25},
+    "power_abs": {"s": 0.6, "center": (0.1,), "scale": 2.0},
+    "power_spacetime": {"s_x": 0.75, "s_t": 0.5, "t_ref": 0.3},
+    "sin_product": {"k": (2.0,), "omega": 1.5, "phase": 0.2},
+    "heat_mode": {"extent": (-1.0, 1.0), "mode": 2},
+    "gaussian": {"center": (0.2,), "width": 0.3, "amplitude": -1.5},
+    "bump": {"x_support": ((-0.5, 0.7),), "t_support": (0.0, 1.0)},
+    "barenblatt": {"m": 2.0, "n": 1, "mass": 0.5},
+    "trig_series": {"seed": 3, "terms": 5, "kink": 0.7},
+    "rough_power": {"sigma": 0.4, "cap": 30.0, "center": 0.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_eval_nodes_matches_per_call_reference(name):
+    grid = GridSpec.one_d(-1.0, 1.0, 41, 0.0, 1.0, 5)
+    form = ClosedForm(name, CATALOG_PARAMS[name])
+    src = SourceTerm(form)
+    for t in (0.1, 0.35, 0.8, 0.35):
+        ref = np.broadcast_to(form(*grid.node_mesh(), t), grid.spatial_shape())
+        assert np.array_equal(src.eval_nodes(grid, t), ref)
+
+
+def test_eval_nodes_t_free_is_read_only_and_shared():
+    grid = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 9, 11, 0.0, 1.0, 3)
+    src = SourceTerm(ClosedForm("gaussian", {"center": (0.1, -0.2)}))
+    first = src.eval_nodes(grid, 0.0)
+    assert first.shape == (9, 11) and not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0
+    assert src.eval_nodes(grid, 0.7) is first
+
+
+def test_eval_nodes_t_dependent_is_fresh():
+    grid = GridSpec.one_d(0.0, 1.0, 21, 0.0, 1.0, 3)
+    src = SourceTerm(ClosedForm("sin_product", {"k": (1.0,), "omega": 2.0}))
+    a, b = src.eval_nodes(grid, 0.2), src.eval_nodes(grid, 0.2)
+    assert a is not b and a.flags.writeable and np.array_equal(a, b)
+
+
+def test_eval_nodes_new_grid_or_form_gets_fresh_values():
+    def reference(form, grid):
+        return np.broadcast_to(form(*grid.node_mesh(), 0.0), grid.spatial_shape())
+
+    coarse = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 1.0, 3)
+    fine = GridSpec.one_d(-1.0, 1.0, 41, 0.0, 1.0, 3)
+    form = ClosedForm("power_abs", {"s": 0.5})
+    src = SourceTerm(form)
+    on_coarse = src.eval_nodes(coarse, 0.0)
+    assert np.array_equal(src.eval_nodes(fine, 0.0), reference(form, fine))
+    assert np.array_equal(src.eval_nodes(coarse, 0.0), on_coarse)
+    equal_grid = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 1.0, 3)
+    assert src.eval_nodes(equal_grid, 0.0) is src.eval_nodes(coarse, 0.0)
+
+    src.form = ClosedForm("power_abs", {"s": 1.5})
+    assert np.array_equal(src.eval_nodes(coarse, 0.0), reference(src.form, coarse))
+    assert not np.array_equal(src.eval_nodes(coarse, 0.0), on_coarse)
+
+    # the cache is not part of the value
+    assert src == SourceTerm(src.form)
+    assert repr(src) == repr(SourceTerm(src.form))
+
+
+_coord = st.floats(-1.0, 1.0)
+T_FREE_PARAMS = {
+    "zero": st.fixed_dictionaries({}),
+    "constant": st.fixed_dictionaries({"value": st.floats(-10.0, 10.0)}),
+    "power_abs": st.fixed_dictionaries({"s": st.floats(0.05, 3.0), "center": st.tuples(_coord),
+                                        "scale": st.floats(-5.0, 5.0)}),
+    "gaussian": st.fixed_dictionaries({"center": st.tuples(_coord), "width": st.floats(0.05, 2.0),
+                                       "amplitude": st.floats(-5.0, 5.0)}),
+    "trig_series": st.fixed_dictionaries({"seed": st.integers(0, 2**32 - 1),
+                                          "terms": st.integers(1, 6),
+                                          "kink": st.floats(-2.0, 2.0)}),
+    "rough_power": st.fixed_dictionaries({"sigma": st.floats(0.05, 0.95),
+                                          "cap": st.floats(1.0, 100.0), "center": _coord}),
+}
+
+
+def test_param_tables_cover_catalog():
+    assert set(CATALOG_PARAMS) == set(CATALOG)
+    assert set(T_FREE_PARAMS) == T_FREE
+    assert T_FREE <= set(CATALOG)
+
+
+@given(
+    st.sampled_from(sorted(T_FREE_PARAMS)).flatmap(
+        lambda name: st.tuples(st.just(name), T_FREE_PARAMS[name])),
+    st.floats(-10.0, 10.0),
+    st.floats(-10.0, 10.0),
+)
+def test_t_free_catalog_entries_ignore_t(case, t1, t2):
+    assume(t1 != t2)
+    name, params = case
+    form = ClosedForm(name, params)
+    (x,) = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 1.0, 2).node_mesh()
+    assert np.array_equal(form(x, t1), form(x, t2))
+
+
+BAD_CONTAINERS = {
+    "truncated payload": lambda h, p: (json.dumps(h).encode(), p[:-3]),
+    "payload one value short": lambda h, p: (json.dumps(h).encode(), p[:-8]),
+    "oversized payload": lambda h, p: (json.dumps(h).encode(), p + bytes(8)),
+    "header not json": lambda h, p: (b'{"dim": 1,', p),
+    "header not utf-8": lambda h, p: (b"\xff\xfe", p),
+    "header not an object": lambda h, p: (b"[1, 2]", p),
+    "header missing nt": lambda h, p: (json.dumps({k: v for k, v in h.items() if k != "nt"}).encode(), p),
+    "grid rejected": lambda h, p: (json.dumps({**h, "nx": [2]}).encode(), p),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONTAINERS))
+def test_load_field_bad_container_raises_io_failure(tmp_path, unit_grid, case):
+    p = tmp_path / "field.hlf"
+    save_field(SpaceTimeField(unit_grid, np.zeros((unit_grid.nt, 101))), p)
+    magic, header, payload = p.read_bytes().split(b"\n", 2)
+    header, payload = BAD_CONTAINERS[case](json.loads(header), payload)
+    p.write_bytes(magic + b"\n" + header + b"\n" + payload)
+    with pytest.raises(IoFailure):
+        load_field(p)

@@ -280,3 +280,19 @@ def test_two_d_heat_smoke():
                 SolverConfig(boundary=Boundary.DIRICHLET_ZERO))
     exact = sample_reference(oracle, g)
     assert float(np.abs(got.values - exact.values).max()) <= 5e-3
+
+
+def test_two_d_periodic_heat_exact_mode():
+    def max_error(n, t_end=0.005):
+        g = GridSpec.two_d((0.0, 1.0), (0.0, 1.0), n, n, 0.0, t_end, 2)
+        got = solve(EquationParams.heat(2), None,
+                    lambda x, y: 1.0 + np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y), g,
+                    SolverConfig(boundary=Boundary.PERIODIC))
+        x, y = g.node_mesh()
+        decay = math.exp(-8.0 * math.pi**2 * t_end)
+        exact = 1.0 + decay * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+        return float(np.abs(got.values[-1] - exact).max())  # edge nodes included
+
+    coarse, fine = max_error(33), max_error(65)
+    assert coarse <= 5e-4
+    assert coarse / fine >= 3.0

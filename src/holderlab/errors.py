@@ -37,10 +37,6 @@ class CylinderOutsideDomain(HolderLabError):
     pass
 
 
-class RegionOutsideDomain(HolderLabError):
-    pass
-
-
 class ScaledDomainEscapes(HolderLabError):
     """The requested target grid maps outside the source field's domain."""
 
@@ -95,18 +91,6 @@ class CutoffNotCompact(HolderLabError):
 
 class SmallnessSearchFailed(HolderLabError):
     """Bisection could not reach the requested smallness regime."""
-
-
-class ConfigInvalid(HolderLabError):
-    """Experiment configuration failed validation.
-
-    ``problems`` is a list of (field_path, message) pairs.
-    """
-
-    def __init__(self, problems):
-        self.problems = list(problems)
-        detail = "; ".join(f"{path}: {msg}" for path, msg in self.problems)
-        super().__init__(f"invalid experiment config: {detail}")
 
 
 class IoFailure(HolderLabError):

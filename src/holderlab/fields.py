@@ -148,12 +148,7 @@ class SpaceTimeField:
     def cell_values(self) -> np.ndarray:
         """Interpolated values at space-time cell centers (cached)."""
         if self._cells is None:
-            v = self.values
-            c = 0.5 * (v[:-1] + v[1:])  # time average
-            c = 0.5 * (c[:, :-1] + c[:, 1:])
-            if self.grid.dim == 2:
-                c = 0.5 * (c[:, :, :-1] + c[:, :, 1:])
-            self._cells = c
+            self._cells = _cell_average(self.values)
         return self._cells
 
     def interp(self, *coords) -> np.ndarray:
@@ -165,6 +160,34 @@ class SpaceTimeField:
 
     def max(self) -> float:
         return float(self.values.max())
+
+
+def _axis_index(ndim: int, axis: int, index) -> tuple:
+    """Index tuple that applies ``index`` on ``axis`` and keeps every other axis whole."""
+    s = [slice(None)] * ndim
+    s[axis] = index
+    return tuple(s)
+
+
+def _node_gradient(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Derivative along ``axis`` at the nodes: central inside, one-sided at both ends."""
+    def at(i):
+        return _axis_index(arr.ndim, axis, i)
+
+    g = np.empty_like(arr)
+    g[at(slice(1, -1))] = (arr[at(slice(2, None))] - arr[at(slice(None, -2))]) / (2.0 * h)
+    g[at(0)] = (arr[at(1)] - arr[at(0)]) / h
+    g[at(-1)] = (arr[at(-1)] - arr[at(-2)]) / h
+    return g
+
+
+def _cell_average(values: np.ndarray) -> np.ndarray:
+    """Time-outer node values averaged onto cell centres, one axis after another."""
+    c = values
+    for axis in range(values.ndim):
+        c = 0.5 * (c[_axis_index(c.ndim, axis, slice(None, -1))]
+                   + c[_axis_index(c.ndim, axis, slice(1, None))])
+    return c
 
 
 def _axis_locate(u_coord, lo, h, n, what):
@@ -353,17 +376,9 @@ def _make_sin_product(k=(1.0,), omega=0.0, amplitude=1.0, phase=0.0):
 
 def _make_heat_mode(extent=(0.0, 1.0), amplitude=1.0, mode=1, dim=1):
     """Separable heat solution A sin(k pi (x-lo)/L)... exp(-dim k^2 pi^2 t / L^2)."""
-    lo, hi = extent
-    length = hi - lo
-    freq = mode * math.pi / length
+    from .solvers import HeatSeparable  # local import: solvers owns the profile
 
-    def fn(*a):
-        *xs, t = a
-        out = amplitude * np.exp(-len(xs) * freq**2 * np.asarray(t, dtype=float))
-        for x in xs:
-            out = out * np.sin(freq * (np.asarray(x) - lo))
-        return out
-    return fn
+    return HeatSeparable(n=dim, extent=extent, amplitude=amplitude, mode=mode).eval
 
 
 def _make_gaussian(center=None, width=0.25, amplitude=1.0):

@@ -21,7 +21,7 @@ from .errors import (
     EmptyIntersection,
     InsufficientLevels,
 )
-from .fields import SourceTerm, SpaceTimeField, _region_cells
+from .fields import SourceTerm, SpaceTimeField, _cell_average, _node_gradient, _region_cells
 from .geometry import IntrinsicCylinder, lqr_norm, make_cylinder, sup_oscillation
 
 __all__ = [
@@ -357,29 +357,6 @@ class CaccioppoliReport:
         return lhs / rhs if rhs > 0.0 else math.inf
 
 
-def _node_gradient(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    g = np.empty_like(arr)
-    sl = [slice(None)] * arr.ndim
-
-    def at(i):
-        s = sl.copy()
-        s[axis] = i
-        return tuple(s)
-
-    g[at(slice(1, -1))] = (arr[at(slice(2, None))] - arr[at(slice(None, -2))]) / (2.0 * h)
-    g[at(0)] = (arr[at(1)] - arr[at(0)]) / h
-    g[at(-1)] = (arr[at(-1)] - arr[at(-2)]) / h
-    return g
-
-
-def _to_cells(arr: np.ndarray, dim: int) -> np.ndarray:
-    c = 0.5 * (arr[:-1] + arr[1:])
-    c = 0.5 * (c[:, :-1] + c[:, 1:])
-    if dim == 2:
-        c = 0.5 * (c[:, :, :-1] + c[:, :, 1:])
-    return c
-
-
 def caccioppoli_check(
     field: SpaceTimeField,
     cutoff,
@@ -429,9 +406,6 @@ def caccioppoli_check(
     grad_xi2 = sum(_node_gradient(xi, g.dx[a], a + 1) ** 2 for a in range(g.dim))
     xi_t = _node_gradient(xi, g.dt, 0)
 
-    def cells(node_arr):
-        return _to_cells(node_arr, g.dim)
-
     tc = g.t_cell_centers
     tsel = np.nonzero((tc >= t0) & (tc <= t1))[0]
     sp_mesh = np.meshgrid(*[g.x_cell_centers(a) for a in range(g.dim)], indexing="ij") \
@@ -442,12 +416,12 @@ def caccioppoli_check(
     def restrict(cell_arr):
         return cell_arr[tsel].reshape(tsel.size, -1)[:, mask]
 
-    u2xi2 = restrict(cells(u**2 * xi**2))
+    u2xi2 = restrict(_cell_average(u**2 * xi**2))
     lhs_sup = float(u2xi2.sum(axis=1).max() * space_vol) if u2xi2.size else 0.0
-    lhs_grad = float(restrict(cells(np.abs(u) ** (m - 1.0) * grad_u2 * xi**2)).sum()
+    lhs_grad = float(restrict(_cell_average(np.abs(u) ** (m - 1.0) * grad_u2 * xi**2)).sum()
                      * g.cell_volume)
-    rhs_time = float(restrict(cells(u**2 * xi * np.abs(xi_t))).sum() * g.cell_volume)
-    rhs_space = float(restrict(cells(np.abs(u) ** (m + 1.0) * (grad_xi2 + xi**2))).sum()
+    rhs_time = float(restrict(_cell_average(u**2 * xi * np.abs(xi_t))).sum() * g.cell_volume)
+    rhs_space = float(restrict(_cell_average(np.abs(u) ** (m + 1.0) * (grad_xi2 + xi**2))).sum()
                       * g.cell_volume)
     rhs_source = 0.0
     if source is not None:

@@ -1,15 +1,22 @@
 """Explicit conservative finite-difference solvers and closed-form oracles.
 
-The scheme is the flux form
+The scheme is the flux form, one term per axis a with spacing h_a,
 
-    u_j^{k+1} = u_j^k + (dt/dx) (F_{j+1/2} - F_{j-1/2}) + dt f_j^k,
-    F = D(u, grad u) * (face-centered difference),
+    u_j^{k+1} = u_j^k + dt sum_a (F^a_{j+e_a/2} - F^a_{j-e_a/2}) / h_a + dt f_j^k,
+    F^a = D(u, grad u) * (u_{j+e_a} - u_j) / h_a   on the faces normal to axis a,
 
 with the diffusivity per equation family: 1 for heat,
 (|grad u|^2 + eps^2)^((p-2)/2) for p-parabolic, m |u_face|^(m-1) for the
 porous medium (no cutoff: the flux vanishes on its own at u = 0), and the
-product of the two for the doubly nonlinear family.  Sub-stepping keeps
-each internal step below the CFL bound; stored time levels are hit exactly.
+product of the two for the doubly nonlinear family.  On a face, |grad u|^2
+is the squared normal difference plus, in 2D, the squared central
+difference along the other axis averaged onto the face.  One stepper,
+``_Stepper``, runs this update in every dimension by looping over the axes;
+``residual`` reuses its fluxes and flux differences.  A PERIODIC boundary
+adds the flux through the wrapped face to the first node slab of each axis
+and copies that slab to the last.  Sub-stepping keeps each internal step
+below the CFL bound cfl_safety / (2 D_max sum_a h_a^-2); stored time levels
+are hit exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 
 from .errors import BlowUp, GridTooCoarse, OutsideValidity, UnstableConfig
 from .exponents import EquationKind, EquationParams
-from .fields import GridSpec, SourceTerm, SpaceTimeField, sample
+from .fields import GridSpec, SourceTerm, SpaceTimeField, _axis_index, _node_gradient, sample
 
 __all__ = [
     "Boundary",
@@ -182,31 +189,18 @@ def sample_reference(ref, grid: GridSpec, name: str = "") -> SpaceTimeField:
 # -- diffusivity and stepping -------------------------------------------------
 
 
-def _diffusivity_scalar(params: EquationParams, cfg: SolverConfig, field_bound, grad_bound):
-    kind, p, m, eps = params.kind, params.p, params.m, cfg.flux_regularization_eps
-    if kind is EquationKind.HEAT:
-        return 1.0
-    if kind is EquationKind.P_PARABOLIC:
-        return (grad_bound**2 + eps**2) ** ((p - 2.0) / 2.0)
-    if kind is EquationKind.PME:
-        return m * field_bound ** (m - 1.0)
-    return m * field_bound ** (m - 1.0) * (grad_bound**2 + eps**2) ** ((p - 2.0) / 2.0)
-
-
 def stable_dt(grid: GridSpec, field_bound: float, grad_bound: float,
               params: EquationParams, cfg: SolverConfig) -> float:
     """CFL-limited step cfl_safety * dx^2 / (2 n D_max), per-axis spacing aware.
 
-    With a degenerate diffusivity bound (D_max = 0) the pure-transport
-    fallback cfl_safety * dx^2 is returned.
+    D_max is the face diffusivity of two nodes at ``field_bound`` with
+    |grad u| = ``grad_bound``.  With a degenerate bound (D_max = 0) the
+    pure-transport fallback cfl_safety * dx^2 is returned.
     """
     if field_bound < 0 or grad_bound < 0:
         raise ValueError("bounds must be nonnegative")
-    d_max = _diffusivity_scalar(params, cfg, field_bound, grad_bound)
-    inv = sum(1.0 / h**2 for h in grid.dx)
-    if d_max == 0.0:
-        return cfg.cfl_safety * min(grid.dx) ** 2
-    return cfg.cfl_safety / (2.0 * d_max * inv)
+    d_max = _face_diffusivity(params, cfg, field_bound, field_bound, grad_bound**2)
+    return _Stepper(params, cfg, grid).step(float(d_max))
 
 
 # The families whose diffusivity reads |grad u|^2; the others get grad2=None.
@@ -227,122 +221,95 @@ def _face_diffusivity(params, cfg, u_lo, u_hi, grad2):
     return amp * (grad2 + eps**2) ** ((p - 2.0) / 2.0)
 
 
-class _Stepper1D:
-    def __init__(self, params, cfg, grid, periodic):
-        self.params, self.cfg, self.grid = params, cfg, grid
-        self.dx = grid.dx[0]
-        self.periodic = periodic
+class _Stepper:
+    """The conservative flux update on every axis of a 1D or 2D grid.
 
-    def faces(self, u):
-        grad = (u[1:] - u[:-1]) / self.dx
-        grad2 = grad * grad if self.params.kind in _GRAD2_KINDS else None
-        return _face_diffusivity(self.params, self.cfg, u[:-1], u[1:], grad2), grad
+    ``axes[a]`` is ``(lo, hi, inner, first, last, h)`` for axis a: index
+    tuples of the nodes below and above each face normal to a (applied to a
+    face array, the faces below and above each ``inner`` node), of the nodes
+    between two faces, and of the two edge slabs, which a PERIODIC boundary
+    identifies; then the spacing h_a.
+    """
 
-    def apply(self, u, dt, d_face, grad, f_nodes):
-        flux = d_face * grad
+    def __init__(self, params, cfg, grid):
+        self.params, self.cfg = params, cfg
+        self.inv_h2 = sum(1.0 / h**2 for h in grid.dx)
+        self.fallback_dt = cfg.cfl_safety * min(grid.dx) ** 2
+        self.periodic = cfg.boundary is Boundary.PERIODIC
+        self.needs_grad2 = params.kind in _GRAD2_KINDS
+        self.tangential = self.needs_grad2 and grid.dim == 2
+        self.axes = [
+            tuple(_axis_index(grid.dim, a, i) for i in
+                  (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)) + (h,)
+            for a, h in enumerate(grid.dx)
+        ]
+
+    def fluxes(self, u):
+        """The face fluxes D * grad u of each axis; for each axis the pair
+        ``(inner, (F_hi - F_lo) / h)``, its flux difference on the nodes
+        between two faces; and the largest face D."""
+        if self.tangential:
+            # |grad u|^2 on a face adds the other axis' node gradient, averaged onto it
+            other = [_node_gradient(u, ax[-1], a) for a, ax in enumerate(self.axes)][::-1]
+        fluxes, diffs, d_max = [], [], []
+        for a, (lo, hi, inner, _, _, h) in enumerate(self.axes):
+            grad = (u[hi] - u[lo]) / h
+            grad2 = None
+            if self.needs_grad2:
+                grad2 = grad * grad
+                if self.tangential:
+                    grad2 = grad2 + (0.5 * (other[a][hi] + other[a][lo])) ** 2
+            d = _face_diffusivity(self.params, self.cfg, u[lo], u[hi], grad2)
+            d_max.append(float(d.max()))
+            flux = np.multiply(d, grad, out=d)
+            fluxes.append(flux)
+            diffs.append((inner, (flux[hi] - flux[lo]) / h))
+        return fluxes, diffs, max(d_max)
+
+    def step(self, d_max):
+        """The CFL step for largest face diffusivity ``d_max``."""
+        if d_max == 0.0:
+            return self.fallback_dt
+        return self.cfg.cfl_safety / (2.0 * d_max * self.inv_h2)
+
+    def apply(self, u, dt, fluxes, diffs, f_nodes):
+        """u after one step dt of the scheme, from ``fluxes(u)``, before the boundary."""
         out = u.copy()
-        div = (flux[1:] - flux[:-1]) / self.dx
-        out[1:-1] += dt * div
-        if f_nodes is not None:
-            out[1:-1] += dt * f_nodes[1:-1]
+        for inner, diff in diffs:
+            out[inner] += dt * diff
         if self.periodic:
-            out[0] += dt * (flux[0] - flux[-1]) / self.dx
-            if f_nodes is not None:
-                out[0] += dt * f_nodes[0]
-            out[-1] = out[0]
-        return out
-
-    def max_d(self, d_face):
-        return float(d_face.max())
-
-
-class _Stepper2D:
-    def __init__(self, params, cfg, grid, periodic):
-        self.params, self.cfg, self.grid = params, cfg, grid
-        self.dx0, self.dx1 = grid.dx
-        self.periodic = periodic
-
-    def _grad_component(self, u, axis):
-        """Node-centered central difference, one-sided at the edges."""
-        h = (self.dx0, self.dx1)[axis]
-        g = np.empty_like(u)
-        sl = [slice(None)] * 2
-
-        def at(i):
-            s = sl.copy()
-            s[axis] = i
-            return tuple(s)
-
-        g[at(slice(1, -1))] = (u[at(slice(2, None))] - u[at(slice(None, -2))]) / (2 * h)
-        g[at(0)] = (u[at(1)] - u[at(0)]) / h
-        g[at(-1)] = (u[at(-1)] - u[at(-2)]) / h
-        return g
-
-    def faces(self, u):
-        gx = (u[1:, :] - u[:-1, :]) / self.dx0
-        gy = (u[:, 1:] - u[:, :-1]) / self.dx1
-        g2x = g2y = None
-        if self.params.kind in _GRAD2_KINDS:
-            ty = self._grad_component(u, 1)
-            tx = self._grad_component(u, 0)
-            g2x = gx**2 + (0.5 * (ty[1:, :] + ty[:-1, :])) ** 2
-            g2y = gy**2 + (0.5 * (tx[:, 1:] + tx[:, :-1])) ** 2
-        dx_face = _face_diffusivity(self.params, self.cfg, u[:-1, :], u[1:, :], g2x)
-        dy_face = _face_diffusivity(self.params, self.cfg, u[:, :-1], u[:, 1:], g2y)
-        return (dx_face, dy_face), (gx, gy)
-
-    def apply(self, u, dt, d_face, grad, f_nodes):
-        (dxf, dyf), (gx, gy) = d_face, grad
-        fx = dxf * gx
-        fy = dyf * gy
-        out = u.copy()
-        out[1:-1, :] += dt * (fx[1:, :] - fx[:-1, :]) / self.dx0
-        out[:, 1:-1] += dt * (fy[:, 1:] - fy[:, :-1]) / self.dx1
+            # the first slab also takes the flux through the wrapped face
+            for f, (_, _, _, first, last, h) in zip(fluxes, self.axes):
+                out[first] += dt * ((f[first] - f[last]) / h)
         if f_nodes is not None:
-            out += dt * f_nodes
-            # boundary rows get overwritten by the boundary condition below
+            out += dt * f_nodes  # edge values are reset by the boundary condition
         if self.periodic:
-            out[0, :] += dt * (fx[0, :] - fx[-1, :]) / self.dx0
-            out[:, 0] += dt * (fy[:, 0] - fy[:, -1]) / self.dx1
-            out[-1, :] = out[0, :]
-            out[:, -1] = out[:, 0]
+            for _, _, _, first, last, _ in self.axes:
+                out[last] = out[first]
         return out
-
-    def max_d(self, d_face):
-        return max(float(d_face[0].max()), float(d_face[1].max()))
 
 
 def _boundary_setter(cfg, grid, oracle) -> Callable:
+    """(u, t) -> u imposing ``cfg.boundary``, edge by edge over (axis, first/last)."""
     if cfg.boundary is Boundary.PERIODIC:
         return lambda u, t: u
+    edges = [_axis_index(grid.dim, a, i) for a in range(grid.dim) for i in (0, -1)]
     if cfg.boundary is Boundary.DIRICHLET_ZERO:
         def set_zero(u, t):
-            if grid.dim == 1:
-                u[0] = u[-1] = 0.0
-            else:
-                u[0, :] = u[-1, :] = u[:, 0] = u[:, -1] = 0.0
+            for edge in edges:
+                u[edge] = 0.0
             return u
         return set_zero
     if oracle is None:
         raise ValueError("dirichlet_oracle boundary requires a reference solution")
-    if grid.dim == 1:
-        x_lo, x_hi = grid.x_extent[0]
+    mesh = grid.node_mesh()
+    edge_coords = [[np.array(x[edge], dtype=float) for x in mesh] for edge in edges]
 
-        def set_oracle_1d(u, t):
-            u[0] = reference_eval(oracle, (x_lo, t))
-            u[-1] = reference_eval(oracle, (x_hi, t))
-            return u
-        return set_oracle_1d
-
-    xs, ys = grid.x_nodes(0), grid.x_nodes(1)
-
-    def set_oracle_2d(u, t):
-        u[0, :] = oracle.eval(np.full_like(ys, xs[0]), ys, np.full_like(ys, t))
-        u[-1, :] = oracle.eval(np.full_like(ys, xs[-1]), ys, np.full_like(ys, t))
-        u[:, 0] = oracle.eval(xs, np.full_like(xs, ys[0]), np.full_like(xs, t))
-        u[:, -1] = oracle.eval(xs, np.full_like(xs, ys[-1]), np.full_like(xs, t))
+    def set_oracle(u, t):
+        for edge, xs in zip(edges, edge_coords):
+            u[edge] = oracle.eval(*xs, np.full(xs[0].shape, t))
         return u
-    return set_oracle_2d
+    return set_oracle
 
 
 def solve(
@@ -386,12 +353,8 @@ def solve(
     if u.shape != grid.spatial_shape():
         raise ValueError(f"init shape {u.shape} != grid spatial shape {grid.spatial_shape()}")
 
-    stepper = (_Stepper1D if grid.dim == 1 else _Stepper2D)(
-        params, cfg, grid, cfg.boundary is Boundary.PERIODIC
-    )
+    stepper = _Stepper(params, cfg, grid)
     set_bc = _boundary_setter(cfg, grid, oracle)
-    inv_h2 = sum(1.0 / h**2 for h in grid.dx)
-    fallback_dt = cfg.cfl_safety * min(grid.dx) ** 2
 
     out = np.empty((grid.nt, *grid.spatial_shape()))
     u = set_bc(u, grid.t_extent[0])
@@ -402,14 +365,12 @@ def solve(
     for level in range(1, grid.nt):
         t_target = grid.t_nodes[level]
         while t < t_target - 1e-13 * max(1.0, abs(t_target)):
-            d_face, grad = stepper.faces(u)
-            d_max = stepper.max_d(d_face)
+            fluxes, diffs, d_max = stepper.fluxes(u)
             if not math.isfinite(d_max):
                 raise BlowUp(steps, t)
-            dt_stable = fallback_dt if d_max == 0.0 else cfg.cfl_safety / (2.0 * d_max * inv_h2)
-            dt = min(dt_stable, t_target - t)
+            dt = min(stepper.step(d_max), t_target - t)
             f_nodes = source.eval_nodes(grid, t) if source is not None else None
-            u = stepper.apply(u, dt, d_face, grad, f_nodes)
+            u = stepper.apply(u, dt, fluxes, diffs, f_nodes)
             t += dt
             u = set_bc(u, t)
             steps += 1
@@ -442,24 +403,18 @@ def residual(field: SpaceTimeField, params: EquationParams,
     g = field.grid
     if g.nt < 3 or any(n < 3 for n in g.nx):
         raise GridTooCoarse("residual needs at least 3 nodes per axis and 3 time levels")
-    stepper = (_Stepper1D if g.dim == 1 else _Stepper2D)(params, cfg, g, False)
+    stepper = _Stepper(params, cfg, g)
+    core = (slice(1, -1),) * g.dim
     worst = 0.0
     for k in range(1, g.nt - 1):
         u = field.values[k]
         u_t = (field.values[k + 1] - field.values[k - 1]) / (2.0 * g.dt)
-        d_face, grad = stepper.faces(u)
-        if g.dim == 1:
-            div = (d_face * grad)[1:] - (d_face * grad)[:-1]
-            div = div / g.dx[0]
-            interior = slice(1, -1)
-            defect = u_t[interior] - div
-        else:
-            (dxf, dyf), (gx, gy) = d_face, grad
-            fx, fy = dxf * gx, dyf * gy
-            div = (fx[1:, 1:-1] - fx[:-1, 1:-1]) / g.dx[0] + (fy[1:-1, 1:] - fy[1:-1, :-1]) / g.dx[1]
-            defect = u_t[1:-1, 1:-1] - div
+        _, diffs, _ = stepper.fluxes(u)
+        div = np.zeros_like(u)
+        for inner, diff in diffs:
+            div[inner] += diff
+        defect = u_t[core] - div[core]
         if source is not None:
-            f_nodes = source.eval_nodes(g, g.t_nodes[k])
-            defect = defect - (f_nodes[1:-1] if g.dim == 1 else f_nodes[1:-1, 1:-1])
+            defect = defect - source.eval_nodes(g, g.t_nodes[k])[core]
         worst = max(worst, float(np.abs(defect).max()))
     return ResidualReport(worst, g.dx, g.dt)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holderlab.errors import BlowUp, GridTooCoarse, OutsideValidity, UnstableConfig
 from holderlab.exponents import EquationKind, EquationParams
@@ -296,3 +298,78 @@ def test_two_d_periodic_heat_exact_mode():
     coarse, fine = max_error(33), max_error(65)
     assert coarse <= 5e-4
     assert coarse / fine >= 3.0
+
+
+# -- one stepper for every dimension ------------------------------------------
+
+
+def test_residual_rate_on_sampled_heat_2d():
+    params = EquationParams.heat(2)
+    vals = []
+    for n in (17, 33, 65):
+        g = GridSpec.two_d((0.0, 1.0), (0.0, 1.0), n, n, 0.0, 0.1, n)
+        f = sample_reference(HeatSeparable(n=2), g)
+        vals.append(residual(f, params).max_residual)
+    assert vals[0] / vals[1] >= 1.8
+    assert vals[1] / vals[2] >= 1.8
+
+
+def test_residual_solver_vs_sampled_barenblatt_2d():
+    ref = BarenblattPME(m=2.0, n=2, mass=0.5)
+    g = GridSpec.two_d((-2.0, 2.0), (-2.0, 2.0), 49, 49, 1.0, 1.2, 21)
+    params = EquationParams.pme(2.0, 2)
+    solved = solve(params, None, lambda x, y: ref.eval(x, y, np.full_like(x, 1.0)), g,
+                   SolverConfig(boundary=Boundary.DIRICHLET_FROM_ORACLE), oracle=ref)
+    r_solved = residual(solved, params).max_residual
+    r_sampled = residual(sample_reference(ref, g), params).max_residual
+    assert r_solved <= 10.0 * r_sampled
+
+
+@pytest.mark.parametrize("params", [
+    EquationParams.heat(2),
+    EquationParams.p_parabolic(3.0, 2),
+    EquationParams.pme(2.0, 2),
+    EquationParams(EquationKind.DOUBLY_NONLINEAR, 2, p=3.0, m=2.0),
+], ids=lambda p: p.kind.value)
+def test_two_d_periodic_x_only_data_keeps_columns_equal(params):
+    g = GridSpec.two_d((-1.0, 1.0), (0.0, 0.5), 33, 9, 0.0, 0.01, 5)
+    got = solve(params, None,
+                lambda x, y: 1.0 + 0.5 * np.cos(np.pi * x) + 0.2 * np.sin(2 * np.pi * x) + 0.0 * y,
+                g, SolverConfig(boundary=Boundary.PERIODIC))
+    assert np.abs(got.values[-1] - got.values[0]).max() > 1e-3  # the solution moved
+    assert np.array_equal(got.values, np.broadcast_to(got.values[:, :, :1], got.values.shape))
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.floats(2.0, 10.0, exclude_min=True),
+       m=st.one_of(st.none(), st.floats(1.0, 3.0, exclude_min=True)),
+       amplitude=st.floats(0.08, 0.15),
+       offset=st.floats(0.0, 1.0),
+       phase=st.floats(0.0, 2 * math.pi))
+def test_periodic_total_variation_never_grows(p, m, amplitude, offset, phase):
+    if m is None:
+        params = EquationParams.p_parabolic(p, 1)
+    else:
+        params = EquationParams(EquationKind.DOUBLY_NONLINEAR, 1, p=p, m=m)
+    # gradients up to 2: at p = 10 the CFL step binds, some hundreds of substeps
+    g = GridSpec.one_d(0.0, 1.0, 33, 0.0, 1e-3, 6)
+    x = g.x_nodes(0)
+    init = offset + amplitude * (np.sin(2 * np.pi * x + phase) + 0.5 * np.sin(4 * np.pi * x))
+    init[-1] = init[0]
+    got = solve(params, None, init, g, SolverConfig(boundary=Boundary.PERIODIC))
+    tv = np.abs(np.diff(got.values, axis=1)).sum(axis=1)
+    assert np.all(np.diff(tv) <= 1e-12 * tv[0])
+
+
+def test_two_d_oracle_dirichlet_edges_equal_oracle():
+    ref = BarenblattPME(m=2.0, n=2, mass=0.5)
+    # the box cuts the support, so every edge carries some nonzero oracle values
+    g = GridSpec.two_d((-1.2, 1.0), (-1.0, 1.3), 23, 26, 1.0, 1.3, 7)
+    got = solve(EquationParams.pme(2.0, 2), None,
+                lambda x, y: ref.eval(x, y, np.full_like(x, 1.0)), g,
+                SolverConfig(boundary=Boundary.DIRICHLET_FROM_ORACLE), oracle=ref)
+    exact = sample_reference(ref, g)
+    for edge in ((slice(None), 0), (slice(None), -1), (slice(None), slice(None), 0),
+                 (slice(None), slice(None), -1)):
+        assert np.any(exact.values[edge] > 0.0)
+        assert np.array_equal(got.values[edge], exact.values[edge])

@@ -128,11 +128,11 @@ class SourceIntegrability:
 
     @property
     def inv_q(self) -> float:
-        return 0.0 if math.isinf(self.q) else 1.0 / self.q
+        return 1.0 / self.q
 
     @property
     def inv_r(self) -> float:
-        return 0.0 if math.isinf(self.r) else 1.0 / self.r
+        return 1.0 / self.r
 
 
 class Provenance(Enum):
@@ -208,8 +208,8 @@ def pparabolic_alpha(p, n, q, r) -> float:
     Equals ((pq - n)r - pq) / (q[(p-1)r - (p-2)]), written in reciprocals
     so q or r may be ``inf``.
     """
-    iq = 0.0 if math.isinf(q) else 1.0 / q
-    ir = 0.0 if math.isinf(r) else 1.0 / r
+    iq = 1.0 / q
+    ir = 1.0 / r
     return (p - n * iq - p * ir) / ((p - 1.0) - (p - 2.0) * ir)
 
 
@@ -220,8 +220,8 @@ def pparabolic_theta(p, alpha) -> float:
 
 def pme_source_bound(m, n, q, r) -> float:
     """Source-driven bound m[(2q - n)r - 2q] / (q[mr - (m-1)])."""
-    iq = 0.0 if math.isinf(q) else 1.0 / q
-    ir = 0.0 if math.isinf(r) else 1.0 / r
+    iq = 1.0 / q
+    ir = 1.0 / r
     return m * (2.0 - n * iq - 2.0 * ir) / (m - (m - 1.0) * ir)
 
 
@@ -232,8 +232,8 @@ def pme_theta(m, alpha) -> float:
 
 def dnl_source_bound(p, m, n, q, r) -> float:
     """Source-driven bound (m+p-2)[(pq-n)r - pq] / (q(p-1)[(r-1)(m+p-2)+1])."""
-    iq = 0.0 if math.isinf(q) else 1.0 / q
-    ir = 0.0 if math.isinf(r) else 1.0 / r
+    iq = 1.0 / q
+    ir = 1.0 / r
     num = (m + p - 2.0) * (p - n * iq - p * ir)
     den = (p - 1.0) * ((m + p - 2.0) - (m + p - 3.0) * ir)
     return num / den

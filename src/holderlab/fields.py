@@ -2,8 +2,8 @@
 
 Fields are stored dense, row-major, time-outer (shape ``(nt, nx)`` in 1D,
 ``(nt, nx0, nx1)`` in 2D) and are treated as immutable after construction.
-Off-node values come from piecewise-multilinear interpolation, which keeps
-interpolated values inside the node range of the surrounding cell.
+Off-node values blend linearly along one axis after another (multilinear
+interpolation), which keeps them inside the node range of their cell.
 Quadrature is the composite midpoint rule over space-time cells whose
 centers fall in the requested region.
 """
@@ -121,10 +121,13 @@ class GridSpec:
     def spatial_shape(self) -> tuple[int, ...]:
         return tuple(self.nx)
 
-    def node_mesh(self):
-        """Spatial node coordinates as broadcastable meshgrid arrays."""
-        axes = [self.x_nodes(a) for a in range(self.dim)]
-        return np.meshgrid(*axes, indexing="ij") if self.dim > 1 else (axes[0],)
+    def node_mesh(self) -> tuple[np.ndarray, ...]:
+        """Spatial node coordinates as meshgrid arrays, one per axis."""
+        return tuple(np.meshgrid(*[self.x_nodes(a) for a in range(self.dim)], indexing="ij"))
+
+    def cell_mesh(self) -> tuple[np.ndarray, ...]:
+        """Spatial cell-centre coordinates as meshgrid arrays, one per axis."""
+        return tuple(np.meshgrid(*[self.x_cell_centers(a) for a in range(self.dim)], indexing="ij"))
 
 
 @dataclass
@@ -205,30 +208,20 @@ def _axis_locate(u_coord, lo, h, n, what):
 
 def _interp(f: SpaceTimeField, xs: tuple, ts) -> np.ndarray:
     g = f.grid
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    ts = np.asarray(ts, dtype=float)
-    it, wt = _axis_locate(ts, g.t_extent[0], g.dt, g.nt, "t")
-    locs = [
-        _axis_locate(x, g.x_extent[a][0], g.dx[a], g.nx[a], "x")
-        for a, x in enumerate(xs)
-    ]
-    v = f.values
-    if g.dim == 1:
-        (ix, wx) = locs[0]
-        c0 = v[it, ix] * (1 - wx) + v[it, ix + 1] * wx
-        c1 = v[it + 1, ix] * (1 - wx) + v[it + 1, ix + 1] * wx
-        return c0 * (1 - wt) + c1 * wt
-    (ix, wx), (iy, wy) = locs
-    out = np.zeros(np.broadcast(ts, *xs).shape)
-    for dt_, tw in ((0, 1 - wt), (1, wt)):
-        plane = (
-            v[it + dt_, ix, iy] * (1 - wx) * (1 - wy)
-            + v[it + dt_, ix + 1, iy] * wx * (1 - wy)
-            + v[it + dt_, ix, iy + 1] * (1 - wx) * wy
-            + v[it + dt_, ix + 1, iy + 1] * wx * wy
-        )
-        out = out + plane * tw
-    return out
+    locs = [_axis_locate(ts, g.t_extent[0], g.dt, g.nt, "t")]
+    locs += [_axis_locate(x, g.x_extent[a][0], g.dx[a], g.nx[a], "x") for a, x in enumerate(xs)]
+    return _lerp(f.values, locs, ())
+
+
+def _lerp(values, locs, index):
+    """Linear blend over axis ``len(index)`` of values blended over the axes after it;
+    ``locs[a]`` is axis a's (lower node, weight).  At module level, because a nested
+    function that calls itself is a reference cycle that keeps each call's arrays
+    alive until the cyclic garbage collector runs."""
+    if len(index) == len(locs):
+        return values[index]
+    i, w = locs[len(index)]
+    return _lerp(values, locs, (*index, i)) * (1 - w) + _lerp(values, locs, (*index, i + 1)) * w
 
 
 @dataclass(frozen=True)
@@ -249,7 +242,7 @@ class Rectangle:
         return self.x_extent
 
     def space_mask(self, *mesh):
-        m = np.ones(np.broadcast(*mesh).shape if len(mesh) > 1 else mesh[0].shape, dtype=bool)
+        m = np.ones(np.broadcast(*mesh).shape, dtype=bool)
         for (lo, hi), c in zip(self.x_extent, mesh):
             m &= (c >= lo) & (c <= hi)
         return m
@@ -259,6 +252,17 @@ class Rectangle:
         return cls(grid.x_extent, grid.t_extent)
 
 
+def _in_region(values: np.ndarray, t: np.ndarray, mesh: tuple, region) -> np.ndarray | None:
+    """Rows of time-outer ``values`` whose time ``t`` is in the region's window, each
+    reduced to the ``mesh`` points in its space mask; None if either set is empty."""
+    t0, t1 = region.time_window()
+    tsel = np.nonzero((t >= t0) & (t <= t1))[0]
+    mask = region.space_mask(*mesh)
+    if tsel.size == 0 or not mask.any():
+        return None
+    return values[tsel[0]:tsel[-1] + 1][:, mask]  # the window is one run of rows
+
+
 def _region_cells(field: SpaceTimeField, region):
     """Cell-center values and counts for cells inside ``region``.
 
@@ -266,19 +270,10 @@ def _region_cells(field: SpaceTimeField, region):
     slice inside the window, flattened spatial cells in the region's mask.
     """
     g = field.grid
-    t0, t1 = region.time_window()
-    tc = g.t_cell_centers
-    tsel = np.nonzero((tc >= t0) & (tc <= t1))[0]
-    if tsel.size == 0:
-        raise EmptyIntersection("no time cells inside region")
-    mesh = np.meshgrid(*[g.x_cell_centers(a) for a in range(g.dim)], indexing="ij") \
-        if g.dim > 1 else (g.x_cell_centers(0),)
-    mask = region.space_mask(*mesh)
-    if not mask.any():
-        raise EmptyIntersection("no spatial cells inside region")
-    cells = field.cell_values()[tsel]
-    flat = cells.reshape(tsel.size, -1)[:, mask.ravel()]
-    return flat, tsel.size
+    flat = _in_region(field.cell_values(), g.t_cell_centers, g.cell_mesh(), region)
+    if flat is None:
+        raise EmptyIntersection("no cells inside region")
+    return flat, flat.shape[0]
 
 
 def sample(fn: Callable, grid: GridSpec, name: str = "", provenance: str = "") -> SpaceTimeField:
@@ -323,8 +318,6 @@ def covered_measure(field: SpaceTimeField, region) -> float:
 # -- closed-form expression catalog -----------------------------------------
 
 def _radius(xs):
-    if len(xs) == 1:
-        return np.abs(xs[0])
     return np.sqrt(sum(np.asarray(x) ** 2 for x in xs))
 
 
@@ -531,8 +524,7 @@ class SourceTerm:
         """
         if isinstance(self.form, SpaceTimeField):
             mesh = grid.node_mesh()
-            tt = np.full(np.broadcast(*mesh).shape if grid.dim > 1 else mesh[0].shape, t)
-            return self.form.interp(*mesh, tt)
+            return self.form.interp(*mesh, np.full(grid.spatial_shape(), t))
         plan = self._plan
         if plan is None or plan.form is not self.form or not (plan.grid is grid or plan.grid == grid):
             plan = self._plan = self._node_plan(grid, t)
@@ -621,18 +613,12 @@ def load_field(path) -> SpaceTimeField:
 def export_csv(field: SpaceTimeField, path) -> None:
     """Long-format CSV with columns t,x[,y],u."""
     g = field.grid
-    cols = ["t", "x", "u"] if g.dim == 1 else ["t", "x", "y", "u"]
+    mesh = [x.ravel().tolist() for x in g.node_mesh()]
     try:
         with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for k, t in enumerate(g.t_nodes.tolist()):
-                if g.dim == 1:
-                    for x, v in zip(g.x_nodes(0).tolist(), field.values[k].tolist()):
-                        fh.write(f"{t!r},{x!r},{v!r}\n")
-                else:
-                    xs, ys = g.x_nodes(0).tolist(), g.x_nodes(1).tolist()
-                    for i, x in enumerate(xs):
-                        for j, y in enumerate(ys):
-                            fh.write(f"{t!r},{x!r},{y!r},{float(field.values[k, i, j])!r}\n")
+            fh.write(",".join(["t", *("x", "y")[:g.dim], "u"]) + "\n")
+            for t, row in zip(g.t_nodes.tolist(), field.values.reshape(g.nt, -1).tolist()):
+                for point in zip(*mesh, row):
+                    fh.write(",".join(map(repr, (t, *point))) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write CSV to {path}: {exc}") from exc

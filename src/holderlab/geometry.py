@@ -33,9 +33,9 @@ from .errors import (
 from .fields import (
     GridSpec,
     SpaceTimeField,
+    _in_region,
     _region_cells,
-    covered_measure,
-    integrate_region,
+    interpolate_eval,
 )
 
 __all__ = [
@@ -118,37 +118,21 @@ class NormValue:
     r: float | None = None
 
 
-def _node_selection(field: SpaceTimeField, cyl: IntrinsicCylinder):
-    g = field.grid
-    t_lo, t_hi = cyl.time_window()
-    ts = g.t_nodes
-    tsel = np.nonzero((ts >= t_lo) & (ts <= t_hi))[0]
-    if g.dim == 1:
-        xs = g.x_nodes(0)
-        xsel = np.nonzero(np.abs(xs - cyl.x0[0]) <= cyl.tau)[0]
-        if tsel.size == 0 or xsel.size == 0:
-            return None
-        return field.values[np.ix_(tsel, xsel)].ravel()
-    mesh = np.meshgrid(g.x_nodes(0), g.x_nodes(1), indexing="ij")
-    mask = cyl.space_mask(*mesh)
-    if tsel.size == 0 or not mask.any():
-        return None
-    return field.values[tsel][:, mask].ravel()
-
-
 def sup_oscillation(field: SpaceTimeField, cyl: IntrinsicCylinder):
     """(oscillation, sup of |u|) over the cylinder.
 
-    Extrema are taken over grid nodes inside the cylinder plus the
-    interpolated anchor value; with multilinear interpolation the node
-    scan bounds the interpolant on every fully contained cell, and the
+    Extrema are taken over the grid nodes in the cylinder's time window and
+    space mask, the selection the region quadrature makes on cell centres,
+    plus the interpolated anchor value; with multilinear interpolation the
+    node scan bounds the interpolant on every fully contained cell, and the
     O(dx) slack at the curved boundary shrinks with the grid.
     """
-    if not cyl.contained_in(field.grid):
+    g = field.grid
+    if not cyl.contained_in(g):
         raise CylinderOutsideDomain(f"{cyl} escapes the field domain")
-    center_val = float(field.interp(*[np.asarray(c) for c in cyl.x0], np.asarray(cyl.t0)))
-    nodes = _node_selection(field, cyl)
-    if nodes is None or nodes.size == 0:
+    center_val = interpolate_eval(field, (*cyl.x0, cyl.t0))
+    nodes = _in_region(field.values, g.t_nodes, g.node_mesh(), cyl)
+    if nodes is None:
         return 0.0, abs(center_val)
     vmax = max(float(nodes.max()), center_val)
     vmin = min(float(nodes.min()), center_val)
@@ -308,11 +292,8 @@ def apply_scaling(
 
     mesh = [np.clip(x * sc.space_factor, g_src.x_extent[a][0], g_src.x_extent[a][1])
             for a, x in enumerate(grid.node_mesh())]
-    out = np.empty((grid.nt, *grid.spatial_shape()))
-    shape = np.broadcast(*mesh).shape if grid.dim > 1 else mesh[0].shape
-    for level, t in enumerate(grid.t_nodes):
-        t_mapped = min(max(t * sc.time_factor, s_tlo), s_thi)
-        out[level] = field.interp(*mesh, np.full(shape, t_mapped))
+    t_mapped = np.clip(grid.t_nodes * sc.time_factor, s_tlo, s_thi)
+    out = field.interp(*mesh, t_mapped.reshape(grid.nt, *(1,) * grid.dim))
     return SpaceTimeField(grid, factor * out, name=field.name,
                           provenance=f"{field.provenance}|{sc.kind.value}")
 
@@ -337,8 +318,8 @@ def scaling_norm_factor(sc: AnisotropicScaling, q: float, r: float, n: int) -> S
     """Exact algebraic norm prefactor F * S^(-n/q) * T^(-1/r)."""
     if not isinstance(sc.kind, ScalingKind):
         raise UnsupportedKind(f"unknown scaling kind {sc.kind!r}")
-    iq = 0.0 if math.isinf(q) else 1.0 / q
-    ir = 0.0 if math.isinf(r) else 1.0 / r
+    iq = 1.0 / q
+    ir = 1.0 / r
     factor = (
         sc.source_factor
         * sc.space_factor ** (-n * iq)
@@ -357,7 +338,7 @@ def scaling_norm_factor(sc: AnisotropicScaling, q: float, r: float, n: int) -> S
 
 def pme_smallness_exponent(m: float, a: float, n: int, q: float, r: float) -> float:
     """(m + 2a) r - a (n r / q + 2) - (m - 1); for r = inf, the /r limit."""
-    iq = 0.0 if math.isinf(q) else 1.0 / q
+    iq = 1.0 / q
     if math.isinf(r):
         return (m + 2.0 * a) - a * n * iq
     return (m + 2.0 * a) * r - a * (n * r * iq + 2.0) - (m - 1.0)

@@ -21,8 +21,9 @@ from .errors import (
     EmptyIntersection,
     InsufficientLevels,
 )
-from .fields import SourceTerm, SpaceTimeField, _cell_average, _node_gradient, _region_cells
-from .geometry import IntrinsicCylinder, lqr_norm, make_cylinder, sup_oscillation
+from .fields import (SourceTerm, SpaceTimeField, _cell_average, _in_region, _node_gradient,
+                     _region_cells, interpolate_eval, sample)
+from .geometry import lqr_norm, make_cylinder, sup_oscillation
 
 __all__ = [
     "ProfileLevel",
@@ -112,6 +113,19 @@ def _golden_best_constant(vals: np.ndarray, p: float, iters: int = 80):
     return c, h(c) ** (1.0 / p)
 
 
+def _walk_ladder(grid, center, theta, lam, k_max, base_radius):
+    """Yield ``(k, tau, cylinder)`` for tau = base_radius * lam^k, k = 0..k_max,
+    stopping before the first degenerate level: k > 0 with a radius under the
+    largest grid spacing or a time extent under one time step."""
+    dx_max = max(grid.dx)
+    for k in range(k_max + 1):
+        tau = base_radius * lam**k
+        cyl = make_cylinder(center, tau, theta)
+        if k > 0 and (tau < dx_max or cyl.time_extent < grid.dt):
+            return
+        yield k, tau, cyl
+
+
 def oscillation_profile(
     field: SpaceTimeField,
     center,
@@ -145,13 +159,8 @@ def oscillation_profile(
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     g = field.grid
-    dx_max = max(g.dx)
     levels = []
-    for k in range(k_max + 1):
-        tau = base_radius * lam**k
-        cyl = make_cylinder(center, tau, theta)
-        if k > 0 and (tau < dx_max or cyl.time_extent < g.dt):
-            break  # degenerate level: cylinder under one grid cell
+    for k, tau, cyl in _walk_ladder(g, center, theta, lam, k_max, base_radius):
         osc, sup_abs = sup_oscillation(field, cyl)
         try:
             vals, _ = _region_cells(field, cyl)
@@ -162,7 +171,7 @@ def oscillation_profile(
         c_k, dist = _golden_best_constant(vals.ravel(), p)
         levels.append(ProfileLevel(k, tau, osc, sup_abs, dist, c_k))
     return OscillationProfile(
-        tuple(center), theta, lam, k_max, base_radius, p, tuple(levels), dx_max, g.dt
+        tuple(center), theta, lam, k_max, base_radius, p, tuple(levels), max(g.dx), g.dt
     )
 
 
@@ -311,16 +320,9 @@ def geometric_iteration_check(
     |u(center)| <= (lam^k)^gamma / 4 holds there.  Levels below the grid
     resolution are dropped, mirroring the profile truncation.
     """
-    g = field.grid
-    dx_max = max(g.dx)
-    center_value = float(field.interp(*[np.asarray(c) for c in center[:-1]],
-                                      np.asarray(center[-1])))
+    center_value = interpolate_eval(field, center)
     levels = []
-    for k in range(k_max + 1):
-        tau = base_radius * lam**k
-        cyl = make_cylinder(center, tau, theta)
-        if k > 0 and (tau < dx_max or cyl.time_extent < g.dt):
-            break
+    for k, tau, cyl in _walk_ladder(field.grid, center, theta, lam, k_max, base_radius):
         _, sup_abs = sup_oscillation(field, cyl)
         target = (lam**k) ** gamma
         levels.append(GeoLevel(
@@ -372,56 +374,45 @@ def caccioppoli_check(
     ``cutoff`` is a callable xi(x[, y], t) with values in [0, 1] vanishing
     on the region boundary (checked to 1e-12); derivatives of u and xi are
     centered differences, integrals the midpoint rule over region cells.
+
+    Raises ``EvaluationFailure`` for a cutoff not finite at a node,
+    ``CutoffNotCompact`` for one not vanishing on the region boundary and
+    ``EmptyIntersection`` for a region without cells.
     """
     g = field.grid
-    mesh = g.node_mesh()
-    xi = np.empty_like(field.values)
-    shape = np.broadcast(*mesh).shape if g.dim > 1 else mesh[0].shape
-    for k, t in enumerate(g.t_nodes):
-        xi[k] = np.broadcast_to(cutoff(*mesh, t), shape)
+    xi = sample(cutoff, g).values
     if xi.min() < -1e-12 or xi.max() > 1.0 + 1e-12:
         raise ValueError("cutoff values must lie in [0, 1]")
 
     t0, t1 = region.time_window()
     bounds = region.space_bounds()
-    # compact support: sample the cutoff on the region's boundary faces
-    probes = []
-    for axis, (lo, hi) in enumerate(bounds):
-        for edge in (lo, hi):
-            for t in (t0, 0.5 * (t0 + t1), t1):
-                if g.dim == 1:
-                    probes.append(abs(float(cutoff(np.asarray(edge), t))))
-                else:
-                    other = 0.5 * (bounds[1 - axis][0] + bounds[1 - axis][1])
-                    xy = (edge, other) if axis == 0 else (other, edge)
-                    probes.append(abs(float(cutoff(np.asarray(xy[0]), np.asarray(xy[1]), t))))
-    for t_edge in (t0, t1):
-        mids = [0.5 * (lo + hi) for lo, hi in bounds]
-        probes.append(abs(float(cutoff(*[np.asarray(c) for c in mids], t_edge))))
-    if max(probes) > 1e-12:
-        raise CutoffNotCompact(f"cutoff reaches {max(probes):.3g} on the region boundary")
+    # compact support: probe each side face at the midpoint of the other axes at
+    # three times, and the bottom and top faces at their centre
+    mids = [0.5 * (lo + hi) for lo, hi in bounds]
+    probes = [(*mids[:axis], edge, *mids[axis + 1:], t)
+              for axis, edges in enumerate(bounds) for edge in edges
+              for t in (t0, 0.5 * (t0 + t1), t1)]
+    probes += [(*mids, t) for t in (t0, t1)]
+    reach = max(abs(float(cutoff(*[np.asarray(c) for c in xs], t))) for *xs, t in probes)
+    if reach > 1e-12:
+        raise CutoffNotCompact(f"cutoff reaches {reach:.3g} on the region boundary")
 
     u = field.values
     grad_u2 = sum(_node_gradient(u, g.dx[a], a + 1) ** 2 for a in range(g.dim))
     grad_xi2 = sum(_node_gradient(xi, g.dx[a], a + 1) ** 2 for a in range(g.dim))
     xi_t = _node_gradient(xi, g.dt, 0)
+    tc, cell_mesh = g.t_cell_centers, g.cell_mesh()
 
-    tc = g.t_cell_centers
-    tsel = np.nonzero((tc >= t0) & (tc <= t1))[0]
-    sp_mesh = np.meshgrid(*[g.x_cell_centers(a) for a in range(g.dim)], indexing="ij") \
-        if g.dim > 1 else (g.x_cell_centers(0),)
-    mask = region.space_mask(*sp_mesh).ravel()
-    space_vol = g.space_cell_volume
+    def restrict(node_arr):
+        return _in_region(_cell_average(node_arr), tc, cell_mesh, region)
 
-    def restrict(cell_arr):
-        return cell_arr[tsel].reshape(tsel.size, -1)[:, mask]
-
-    u2xi2 = restrict(_cell_average(u**2 * xi**2))
-    lhs_sup = float(u2xi2.sum(axis=1).max() * space_vol) if u2xi2.size else 0.0
-    lhs_grad = float(restrict(_cell_average(np.abs(u) ** (m - 1.0) * grad_u2 * xi**2)).sum()
-                     * g.cell_volume)
-    rhs_time = float(restrict(_cell_average(u**2 * xi * np.abs(xi_t))).sum() * g.cell_volume)
-    rhs_space = float(restrict(_cell_average(np.abs(u) ** (m + 1.0) * (grad_xi2 + xi**2))).sum()
+    u2xi2 = restrict(u**2 * xi**2)
+    if u2xi2 is None:
+        raise EmptyIntersection("no cells inside region")
+    lhs_sup = float(u2xi2.sum(axis=1).max() * g.space_cell_volume)
+    lhs_grad = float(restrict(np.abs(u) ** (m - 1.0) * grad_u2 * xi**2).sum() * g.cell_volume)
+    rhs_time = float(restrict(u**2 * xi * np.abs(xi_t)).sum() * g.cell_volume)
+    rhs_space = float(restrict(np.abs(u) ** (m + 1.0) * (grad_xi2 + xi**2)).sum()
                       * g.cell_volume)
     rhs_source = 0.0
     if source is not None:
@@ -441,7 +432,9 @@ def time_direction_oscillations(
     """Oscillation over pure-time segments {x0} x (t0 - tau^theta, t0].
 
     Returns (t_distances, oscillations) suitable for a log-log fit against
-    the time distance tau^theta.
+    the time distance tau^theta.  The segments need no spatial resolution,
+    so this ladder stops only when tau^theta falls under one time step, and
+    tests that at k = 0 too; it does not use the cylinder ladder's stop rule.
     """
     *x0, t0 = center
     g = field.grid

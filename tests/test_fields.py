@@ -1,5 +1,6 @@
 """Grids, interpolation, midpoint quadrature, catalog, serialization."""
 
+import gc
 import json
 import math
 
@@ -209,6 +210,37 @@ def test_export_csv(tmp_path):
     assert len(lines) == 1 + 2 * 3
     t, x, u = map(float, lines[2].split(","))
     assert (t, x, u) == (0.0, 0.5, 0.5)
+
+
+def test_export_csv_2d(tmp_path):
+    g = GridSpec.two_d((0.0, 1.0), (0.0, 2.0), 3, 5, 0.0, 1.0, 2)
+    f = sample(expression("affine", slopes=(1.0, 10.0), t_slope=100.0), g)
+    p = tmp_path / "f.csv"
+    export_csv(f, p)
+    lines = p.read_text().strip().splitlines()
+    assert lines[0] == "t,x,y,u"
+    assert len(lines) == 1 + 2 * 3 * 5
+    # rows run over t, then x, then y: this one is t = 1, x = 0.5, y = 1
+    t, x, y, u = map(float, lines[1 + 15 + 5 + 2].split(","))
+    assert (t, x, y, u) == (1.0, 0.5, 1.0, 110.5)
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec.one_d(0.0, 1.0, 11, 0.0, 1.0, 5),
+    GridSpec.two_d((0.0, 1.0), (0.0, 2.0), 11, 9, 0.0, 1.0, 5),
+])
+def test_interp_leaves_no_garbage_cycles(grid):
+    f = sample(expression("affine", slopes=(1.0, 2.0), t_slope=0.5), grid)
+    coords = [np.linspace(lo, hi, 7) for lo, hi in (*grid.x_extent, grid.t_extent)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        f.interp(*coords)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # One parameter set per catalog entry, valid on the 1D grid [-1, 1] and t > 0.

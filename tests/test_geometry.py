@@ -252,6 +252,22 @@ def test_apply_scaling_identity_and_linear():
     assert np.max(np.abs(v.values[0] - expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("grid", [
+    g1_grid(101, 41),
+    GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 41, 33, -1.0, 0.0, 21),
+])
+def test_apply_scaling_equals_per_level_interp(grid):
+    f = sample(lambda *a: np.sin(3.0 * sum(a[:-1]) + a[-1]) + np.abs(a[0] - 0.013) ** 0.6, grid)
+    sc = build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, a=1.0, m=2.0)
+    v = apply_scaling(f, sc, grid=grid)
+    mesh = [np.clip(x * sc.space_factor, *grid.x_extent[a]) for a, x in enumerate(grid.node_mesh())]
+    t_lo, t_hi = grid.t_extent
+    for level, t in enumerate(grid.t_nodes):
+        t_mapped = min(max(t * sc.time_factor, t_lo), t_hi)
+        expected = sc.amplitude_factor * f.interp(*mesh, np.full(grid.spatial_shape(), t_mapped))
+        assert np.array_equal(v.values[level], expected)
+
+
 def test_apply_scaling_escape_raises():
     g = g1_grid(101, 41)
     f = sample(expression("zero"), g)

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from holderlab.errors import AllZeroLevels, CutoffNotCompact, InsufficientLevels
+from holderlab.errors import (
+    AllZeroLevels,
+    CutoffNotCompact,
+    EmptyIntersection,
+    EvaluationFailure,
+    InsufficientLevels,
+)
 from holderlab.fields import (
     ClosedForm,
     GridSpec,
@@ -294,6 +300,58 @@ def test_caccioppoli_constant_field_against_quadrature_oracle():
     assert rep.rhs_time_term == pytest.approx(time_term, rel=2e-2)
     assert rep.rhs_space_term == pytest.approx(space_term, rel=2e-2)
     assert math.isfinite(rep.ratio) and rep.ratio > 0.0
+
+
+def bump_integrals(lo, hi):
+    """(int b^2, int b'^2, int b |b'|) of the quartic bump on [lo, hi], fine quadrature."""
+    z = np.linspace(lo, hi, 20001)
+    s = (2 * z - lo - hi) / (hi - lo)
+    b = (1 - s**2) ** 2
+    db = np.gradient(b, z)
+    return np.trapezoid(b**2, z), np.trapezoid(db**2, z), np.trapezoid(b * np.abs(db), z)
+
+
+def test_caccioppoli_constant_field_2d_against_quadrature_oracle():
+    g = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 81, 81, -1.0, 0.0, 81)
+    f = sample(expression("constant", value=1.0), g)
+    x_ext, y_ext, t_ext = (-0.8, 0.8), (-0.6, 0.6), (-0.9, -0.1)
+    region = Rectangle((x_ext, y_ext), t_ext)
+    bump = expression("bump", x_support=(x_ext, y_ext), t_support=t_ext)
+    rep = caccioppoli_check(f, bump, None, 2.0, region)
+
+    # the bump is a tensor product, so each term is a product of 1D integrals
+    bx2, dbx2, _ = bump_integrals(*x_ext)
+    by2, dby2, _ = bump_integrals(*y_ext)
+    bt2, _, bt_dbt = bump_integrals(*t_ext)
+    assert rep.lhs_sup_term == pytest.approx(bx2 * by2, rel=2e-2)  # sup of bt^2 is 1
+    assert rep.lhs_grad_term == 0.0
+    assert rep.rhs_time_term == pytest.approx(bx2 * by2 * bt_dbt, rel=2e-2)
+    space_term = (dbx2 * by2 + bx2 * dby2 + bx2 * by2) * bt2
+    assert rep.rhs_space_term == pytest.approx(space_term, rel=2e-2)
+
+
+@pytest.mark.parametrize("source", [None, SourceTerm(ClosedForm("constant", {"value": 2.0}))])
+@pytest.mark.parametrize("x_ext, t_ext", [
+    ((0.001, 0.002), (-0.9, -0.1)),    # between two cell centres in x
+    ((-0.8, 0.8), (-0.503, -0.501)),   # between two cell centres in t
+])
+def test_caccioppoli_region_without_cells_raises(source, x_ext, t_ext):
+    f = sample(expression("constant", value=1.0), g1_grid(201, 101))
+    region = Rectangle.one_d(*x_ext, *t_ext)
+    bump = expression("bump", x_support=(x_ext,), t_support=t_ext)
+    with pytest.raises(EmptyIntersection):
+        caccioppoli_check(f, bump, source, 2.0, region)
+
+
+def test_caccioppoli_non_finite_cutoff_raises():
+    f = sample(expression("constant", value=1.0), g1_grid(201, 101))
+    region, bump = region_and_bump()
+
+    def cutoff(x, t):
+        return np.where(np.abs(x - 0.5) < 0.05, np.nan, bump(x, t))
+
+    with pytest.raises(EvaluationFailure):
+        caccioppoli_check(f, cutoff, None, 2.0, region)
 
 
 def test_caccioppoli_source_term_enters():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from holderlab.errors import BlowUp, GridTooCoarse, OutsideValidity, UnstableConfig
 from holderlab.exponents import EquationKind, EquationParams
-from holderlab.fields import ClosedForm, GridSpec, SourceTerm, expression
+from holderlab.fields import ClosedForm, GridSpec, SourceTerm, expression, sample
 from holderlab.solvers import (
     BarenblattPME,
     Boundary,
@@ -310,6 +310,33 @@ def test_residual_rate_on_sampled_heat_2d():
         g = GridSpec.two_d((0.0, 1.0), (0.0, 1.0), n, n, 0.0, 0.1, n)
         f = sample_reference(HeatSeparable(n=2), g)
         vals.append(residual(f, params).max_residual)
+    assert vals[0] / vals[1] >= 1.8
+    assert vals[1] / vals[2] >= 1.8
+
+
+def test_residual_rate_pparabolic_2d_tangential_term():
+    # u = sin x sin y e^-t and f = u_t - div(|grad u|^2 grad u) (p = 4) in closed
+    # form; both u_x and u_y are nonzero inside, so the face |grad u|^2 needs
+    # the tangential difference of the other axis to converge
+    def u_exact(x, y, t):
+        return np.sin(x) * np.sin(y) * np.exp(-t)
+
+    def f_exact(x, y, t):
+        e = np.exp(-t)
+        u = u_exact(x, y, t)
+        ux, uy = np.cos(x) * np.sin(y) * e, np.sin(x) * np.cos(y) * e
+        grad2_u = ux**2 + uy**2
+        div = (-2.0 * grad2_u * u
+               + e**2 * (np.sin(2 * x) * np.cos(2 * y) * ux + np.cos(2 * x) * np.sin(2 * y) * uy))
+        return -u - div
+
+    params = EquationParams.p_parabolic(4.0, 2)
+    cfg = SolverConfig(flux_regularization_eps=0.0)
+    vals = []
+    for n in (17, 33, 65):
+        g = GridSpec.two_d((0.0, 1.0), (0.0, 1.0), n, n, 0.0, 0.1, n)
+        source = SourceTerm(sample(f_exact, g))
+        vals.append(residual(sample(u_exact, g), params, source, cfg).max_residual)
     assert vals[0] / vals[1] >= 1.8
     assert vals[1] / vals[2] >= 1.8
 

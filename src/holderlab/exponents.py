@@ -8,6 +8,10 @@ Covers four equation families, identified by their structural exponents
 * porous medium:      u_t - div(m |u|^(m-1) grad u) = f      (m > 1)
 * doubly nonlinear:   u_t - div(m |u|^(m-1) |grad u|^(p-2) grad u) = f
 
+The doubly nonlinear formulas (``dnl_*``) serve all four families: m = 1
+gives heat and p-parabolic, p = 2 gives the porous medium, and the
+``pparabolic_*`` and ``pme_*`` formulas are those reductions.
+
 The source f lives in the mixed space L^r(time; L^q(space)).  All formulas
 are evaluated through the reciprocals 1/q and 1/r so that infinite
 integrability exponents are exact, not large-number approximations.
@@ -202,34 +206,6 @@ class AdmissibilityVerdict:
 # -- raw formulas (reciprocal arguments, evaluable outside the class gates) --
 
 
-def pparabolic_alpha(p, n, q, r) -> float:
-    """Sharp space exponent for the p-parabolic equation.
-
-    Equals ((pq - n)r - pq) / (q[(p-1)r - (p-2)]), written in reciprocals
-    so q or r may be ``inf``.
-    """
-    iq = 1.0 / q
-    ir = 1.0 / r
-    return (p - n * iq - p * ir) / ((p - 1.0) - (p - 2.0) * ir)
-
-
-def pparabolic_theta(p, alpha) -> float:
-    """Time-scaling exponent: the alpha-interpolation between 2 and p."""
-    return p - (p - 2.0) * alpha
-
-
-def pme_source_bound(m, n, q, r) -> float:
-    """Source-driven bound m[(2q - n)r - 2q] / (q[mr - (m-1)])."""
-    iq = 1.0 / q
-    ir = 1.0 / r
-    return m * (2.0 - n * iq - 2.0 * ir) / (m - (m - 1.0) * ir)
-
-
-def pme_theta(m, alpha) -> float:
-    """Time-scaling exponent: the alpha-interpolation between 1 + 1/m and 2."""
-    return 2.0 - (1.0 - 1.0 / m) * alpha
-
-
 def dnl_source_bound(p, m, n, q, r) -> float:
     """Source-driven bound (m+p-2)[(pq-n)r - pq] / (q(p-1)[(r-1)(m+p-2)+1])."""
     iq = 1.0 / q
@@ -249,6 +225,29 @@ def dnl_theta(p, m, beta) -> float:
     Reduces to p - (p-2)beta at m = 1 and to 2 - (1 - 1/m)(m beta) at p = 2.
     """
     return p - (m + p - 3.0) * beta
+
+
+def pparabolic_alpha(p, n, q, r) -> float:
+    """Sharp space exponent for the p-parabolic equation.
+
+    Equals ((pq - n)r - pq) / (q[(p-1)r - (p-2)]): the DNL bound at m = 1.
+    """
+    return dnl_source_bound(p, 1.0, n, q, r)
+
+
+def pparabolic_theta(p, alpha) -> float:
+    """Time-scaling exponent: the alpha-interpolation between 2 and p."""
+    return dnl_theta(p, 1.0, alpha)
+
+
+def pme_source_bound(m, n, q, r) -> float:
+    """Source-driven bound m[(2q - n)r - 2q] / (q[mr - (m-1)]): the DNL bound at p = 2."""
+    return dnl_source_bound(2.0, m, n, q, r)
+
+
+def pme_theta(m, alpha) -> float:
+    """Time-scaling exponent: the alpha-interpolation between 1 + 1/m and 2."""
+    return dnl_theta(2.0, m, dnl_beta(2.0, m, alpha))
 
 
 # -- operations --
@@ -280,14 +279,14 @@ def check_admissibility(params: EquationParams, integ: SourceIntegrability) -> A
 
 
 def _default_homogeneous(params: EquationParams) -> HomogeneousExponent:
-    """One-dimensional default min{1, 1/(m-1)}; unknown in n >= 2."""
-    if params.n != 1:
+    """min{1, 1/(m-1)}: 1 for m = 1 in every n; for m > 1 known only in n = 1."""
+    if params.n != 1 and params.m != 1.0:
         raise MissingHomogeneousExponent(
             f"the optimal homogeneous exponent for {params.kind.value} in n={params.n} "
             "is unknown; supply it explicitly"
         )
-    value = min(1.0, 1.0 / (params.m - 1.0))
-    prov = Provenance.KNOWN if params.kind is EquationKind.PME else Provenance.ASSUMED
+    value = 1.0 / max(1.0, params.m - 1.0)  # min{1, 1/(m-1)}, and 1 at m = 1
+    prov = Provenance.ASSUMED if params.kind is EquationKind.DOUBLY_NONLINEAR else Provenance.KNOWN
     return HomogeneousExponent(value, prov)
 
 
@@ -298,6 +297,9 @@ def sharp_exponents(
 ) -> RegularityReport:
     """Sharp space and time Holder exponents for an admissible source class.
 
+    Every family takes the doubly nonlinear path; at m = 1 the homogeneous
+    exponent is 1, which the strict borderline keeps above the source bound.
+
     Parameters
     ----------
     params : EquationParams
@@ -305,7 +307,7 @@ def sharp_exponents(
     hom : HomogeneousExponent, optional
         Optimal exponent of the source-free equation.  Required for the
         porous-medium and doubly-nonlinear families except in dimension
-        one, where min{1, 1/(m-1)} is used.
+        one, where min{1, 1/(m-1)} is used; ignored when m = 1.
 
     Returns
     -------
@@ -322,36 +324,17 @@ def sharp_exponents(
     if not verdict.admissible:
         raise InadmissibleParameters(verdict)
 
-    kind = params.kind
-    q, r = integ.q, integ.r
-
-    if kind in (EquationKind.HEAT, EquationKind.P_PARABOLIC):
-        alpha = pparabolic_alpha(params.p, params.n, q, r)
-        theta = pparabolic_theta(params.p, alpha)
-        return RegularityReport(alpha, alpha / theta, theta, Branch.SOURCE_LIMITED, False, alpha)
-
-    if hom is None:
+    p, m = params.p, params.m
+    if hom is None or m == 1.0:
         hom = _default_homogeneous(params)
-
-    if kind is EquationKind.PME:
-        bound = pme_source_bound(params.m, params.n, q, r)
-        # a tie resolves to the closed source-limited value
-        if bound > hom.value:
-            alpha, branch, open_sup = hom.value, Branch.HOMOGENEOUS_LIMITED, True
-        else:
-            alpha, branch, open_sup = bound, Branch.SOURCE_LIMITED, False
-        gamma = alpha / params.m
-        theta = pme_theta(params.m, alpha)
-        return RegularityReport(gamma, gamma / theta, theta, branch, open_sup, alpha)
-
-    # doubly nonlinear
-    bound = dnl_source_bound(params.p, params.m, params.n, q, r)
+    bound = dnl_source_bound(p, m, params.n, integ.q, integ.r)
+    # a tie resolves to the closed source-limited value
     if bound > hom.value:
         alpha, branch, open_sup = hom.value, Branch.HOMOGENEOUS_LIMITED, True
     else:
         alpha, branch, open_sup = bound, Branch.SOURCE_LIMITED, False
-    beta = dnl_beta(params.p, params.m, alpha)
-    theta = dnl_theta(params.p, params.m, beta)
+    beta = dnl_beta(p, m, alpha)
+    theta = dnl_theta(p, m, beta)
     return RegularityReport(beta, beta / theta, theta, branch, open_sup, alpha)
 
 

@@ -58,8 +58,12 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"spatial dimension must be 1 or 2, got {self.dim}")
-        if len(self.x_extent) != self.dim or len(self.nx) != self.dim:
-            raise ValueError("x_extent and nx must have one entry per axis")
+        if len(self.x_extent) != self.dim or len(self.nx) != self.dim or len(self.t_extent) != 2:
+            raise ValueError("x_extent and nx must have one entry per axis, t_extent two ends")
+        if not all(math.isfinite(v) for e in (*self.x_extent, self.t_extent) for v in e):
+            raise ValueError(f"extents must be finite, got {self.x_extent} and {self.t_extent}")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.dim, *self.nx, self.nt)):
+            raise ValueError(f"dim and node counts must be integers, got {self.dim}, {self.nx}, {self.nt}")
         for (lo, hi), n in zip(self.x_extent, self.nx):
             if not hi > lo:
                 raise ValueError(f"empty spatial extent ({lo}, {hi})")
@@ -302,11 +306,7 @@ def integrate_region(field: SpaceTimeField, region, weight_power: float = 1.0) -
     Cells participate when their space-time center lies in the region.
     """
     flat, _ = _region_cells(field, region)
-    if weight_power == 1.0:
-        acc = np.abs(flat).sum()
-    else:
-        acc = (np.abs(flat) ** weight_power).sum()
-    return float(acc * field.grid.cell_volume)
+    return float((np.abs(flat) ** weight_power).sum() * field.grid.cell_volume)
 
 
 def covered_measure(field: SpaceTimeField, region) -> float:
@@ -317,12 +317,12 @@ def covered_measure(field: SpaceTimeField, region) -> float:
 
 # -- closed-form expression catalog -----------------------------------------
 
-def _radius(xs):
-    return np.sqrt(sum(np.asarray(x) ** 2 for x in xs))
-
-
-def _make_zero():
-    return lambda *a: np.zeros(np.broadcast(*a).shape)
+def _dist2(xs, center=None):
+    """Squared distance of the points ``xs`` from ``center``: the origin if None,
+    and a scalar centre applies on every axis."""
+    if np.ndim(center) == 0:
+        center = (center or 0.0,) * len(xs)
+    return sum((np.asarray(x) - c) ** 2 for x, c in zip(xs, center))
 
 
 def _make_constant(value=1.0):
@@ -340,20 +340,16 @@ def _make_affine(slopes=(1.0,), t_slope=0.0, offset=0.0):
 
 
 def _make_power_abs(s=0.75, center=None, scale=1.0):
-    def fn(*a):
-        *xs, _t = a
-        c = center if center is not None else (0.0,) * len(xs)
-        shifted = [np.asarray(x) - ci for x, ci in zip(xs, c)]
-        return scale * _radius(shifted) ** s
-    return fn
+    from .solvers import PowerProfile  # local import: solvers owns the profile
+
+    profile = PowerProfile(s, center)
+    return lambda *a: scale * profile.eval(*a)
 
 
 def _make_power_spacetime(s_x=0.75, s_t=0.5, t_ref=0.0, center=None, cx=1.0, ct=1.0):
     def fn(*a):
         *xs, t = a
-        c = center if center is not None else (0.0,) * len(xs)
-        shifted = [np.asarray(x) - ci for x, ci in zip(xs, c)]
-        return cx * _radius(shifted) ** s_x + ct * np.abs(t_ref - np.asarray(t)) ** s_t
+        return cx * np.sqrt(_dist2(xs, center)) ** s_x + ct * np.abs(t_ref - np.asarray(t)) ** s_t
     return fn
 
 
@@ -377,9 +373,7 @@ def _make_heat_mode(extent=(0.0, 1.0), amplitude=1.0, mode=1, dim=1):
 def _make_gaussian(center=None, width=0.25, amplitude=1.0):
     def fn(*a):
         *xs, _t = a
-        c = center if center is not None else (0.0,) * len(xs)
-        shifted = [np.asarray(x) - ci for x, ci in zip(xs, c)]
-        return amplitude * np.exp(-(_radius(shifted) / width) ** 2)
+        return amplitude * np.exp(-(np.sqrt(_dist2(xs, center)) / width) ** 2)
     return fn
 
 
@@ -401,8 +395,7 @@ def _make_bump(x_support=((-0.5, 0.5),), t_support=(0.0, 1.0)):
 def _make_barenblatt(m=2.0, n=1, mass=1.0):
     from .solvers import BarenblattPME  # local import: solvers owns the profile
 
-    ref = BarenblattPME(m=m, n=n, mass=mass)
-    return lambda *a: ref.eval(*a)
+    return BarenblattPME(m=m, n=n, mass=mass).eval
 
 
 def _make_trig_series(seed=0, terms=4, kink=0.0, extent=(-1.0, 1.0)):
@@ -431,8 +424,7 @@ def _make_rough_power(sigma=0.4, cap=None, center=0.0):
     """|x - c|^(-sigma), capped so node sampling stays finite."""
     def fn(*a):
         *xs, _t = a
-        shifted = [np.asarray(x) - center for x in xs]
-        r = _radius(shifted)
+        r = np.sqrt(_dist2(xs, center))
         with np.errstate(divide="ignore"):
             out = np.where(r > 0, r ** (-sigma), np.inf)
         if cap is not None:
@@ -449,7 +441,7 @@ def rough_power_cap(sigma: float, dx: float) -> float:
 
 
 CATALOG: dict[str, Callable] = {
-    "zero": _make_zero,
+    "zero": lambda: _make_constant(0.0),
     "constant": _make_constant,
     "affine": _make_affine,
     "power_abs": _make_power_abs,

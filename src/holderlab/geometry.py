@@ -33,6 +33,7 @@ from .errors import (
 from .fields import (
     GridSpec,
     SpaceTimeField,
+    _dist2,
     _in_region,
     _region_cells,
     interpolate_eval,
@@ -86,21 +87,23 @@ class IntrinsicCylinder:
         return tuple((c - self.tau, c + self.tau) for c in self.x0)
 
     def space_mask(self, *mesh):
-        r2 = sum((np.asarray(c) - c0) ** 2 for c, c0 in zip(mesh, self.x0))
-        return r2 <= self.tau**2
+        return _dist2(mesh, self.x0) <= self.tau**2
 
     def shrunk(self, factor: float) -> "IntrinsicCylinder":
         return IntrinsicCylinder(self.x0, self.t0, self.tau * factor, self.theta)
 
     def contained_in(self, grid: GridSpec) -> bool:
-        for (lo, hi), (blo, bhi) in zip(grid.x_extent, self.space_bounds()):
-            tol = _REL_TOL * (hi - lo)
-            if blo < lo - tol or bhi > hi + tol:
-                return False
-        t_lo, t_hi = grid.t_extent
-        tol = _REL_TOL * (t_hi - t_lo)
-        w_lo, w_hi = self.time_window()
-        return w_lo >= t_lo - tol and w_hi <= t_hi + tol
+        return _box_inside((*self.space_bounds(), self.time_window()), grid)
+
+
+def _box_inside(box, grid: GridSpec) -> bool:
+    """Whether the (x[, y], t) intervals of ``box`` lie in the grid's extents,
+    up to a tolerance relative to each extent."""
+    for (blo, bhi), (lo, hi) in zip(box, (*grid.x_extent, grid.t_extent), strict=True):
+        tol = _REL_TOL * (hi - lo)
+        if blo < lo - tol or bhi > hi + tol:
+            return False
+    return True
 
 
 def make_cylinder(center, tau: float, theta: float) -> IntrinsicCylinder:
@@ -278,21 +281,14 @@ def apply_scaling(
             (g_src.t_extent[0] / sc.time_factor, g_src.t_extent[1] / sc.time_factor),
             g_src.nt,
         )
-    for axis in range(grid.dim):
-        lo, hi = grid.x_extent[axis]
-        s_lo, s_hi = g_src.x_extent[axis]
-        tol = _REL_TOL * (s_hi - s_lo)
-        if lo * sc.space_factor < s_lo - tol or hi * sc.space_factor > s_hi + tol:
-            raise ScaledDomainEscapes(f"axis {axis} image escapes the source domain")
-    s_tlo, s_thi = g_src.t_extent
-    tol = _REL_TOL * (s_thi - s_tlo)
-    if (grid.t_extent[0] * sc.time_factor < s_tlo - tol
-            or grid.t_extent[1] * sc.time_factor > s_thi + tol):
-        raise ScaledDomainEscapes("time image escapes the source domain")
+    image = [(lo * sc.space_factor, hi * sc.space_factor) for lo, hi in grid.x_extent]
+    image.append((grid.t_extent[0] * sc.time_factor, grid.t_extent[1] * sc.time_factor))
+    if not _box_inside(image, g_src):
+        raise ScaledDomainEscapes("the grid's image escapes the source domain")
 
     mesh = [np.clip(x * sc.space_factor, g_src.x_extent[a][0], g_src.x_extent[a][1])
             for a, x in enumerate(grid.node_mesh())]
-    t_mapped = np.clip(grid.t_nodes * sc.time_factor, s_tlo, s_thi)
+    t_mapped = np.clip(grid.t_nodes * sc.time_factor, *g_src.t_extent)
     out = field.interp(*mesh, t_mapped.reshape(grid.nt, *(1,) * grid.dim))
     return SpaceTimeField(grid, factor * out, name=field.name,
                           provenance=f"{field.provenance}|{sc.kind.value}")
@@ -363,8 +359,8 @@ def _unit_cylinder(dim):
     return IntrinsicCylinder((0.0,) * dim, 0.0, 1.0, 2.0)
 
 
-def _bisect_smallness(make_scaling, u_field, f_field, v_norm_of, q, r, epsilon, max_iter):
-    """Largest contraction rho in (0, 1) meeting both norm targets.
+def _bisect_smallness(make_scaling, a, v_power, u_field, f_field, q, r, epsilon, max_iter):
+    """Largest rho in (0, 1) with ||v||_{v_power,avg;G1} <= 1 and ||f~||_{q,r;G1} <= epsilon.
 
     Every candidate is verified by direct norm evaluation on the
     transformed fields; the best feasible one is returned.
@@ -377,10 +373,10 @@ def _bisect_smallness(make_scaling, u_field, f_field, v_norm_of, q, r, epsilon, 
         sc = make_scaling(rho)
         v = apply_scaling(u_field, sc, grid=u_field.grid)
         f_scaled = apply_scaling(f_field, sc, grid=f_field.grid, role="source")
-        v_norm = v_norm_of(v, g1)
+        v_norm = p_avg_norm(v, g1, v_power).value
         f_norm = lqr_norm(f_scaled, g1, q, r).value
         if v_norm <= 1.0 and f_norm <= epsilon:
-            best = (rho, sc, v, f_scaled, v_norm, f_norm, it)
+            best = SmallnessResult(rho, a, sc, v, f_scaled, v_norm, f_norm, it)
             lo = rho
         else:
             hi = rho
@@ -402,14 +398,10 @@ def pparabolic_smallness(
 ) -> SmallnessResult:
     """Contraction v = rho u(x, rho^(p-2) t) reaching the smallness regime
     ||v||_{p,avg,G1} <= 1 and ||f~||_{q,r;G1} <= epsilon."""
-    def v_norm_of(v, g1):
-        return p_avg_norm(v, g1, p).value
-
-    rho, sc, v, f_scaled, v_norm, f_norm, it = _bisect_smallness(
+    return _bisect_smallness(
         lambda rho: build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=rho, p=p),
-        u_field, f_field, v_norm_of, q, r, epsilon, max_iter,
+        None, p, u_field, f_field, q, r, epsilon, max_iter,
     )
-    return SmallnessResult(rho, None, sc, v, f_scaled, v_norm, f_norm, it)
 
 
 def pme_smallness(
@@ -430,11 +422,7 @@ def pme_smallness(
         if a > 64:
             raise SmallnessSearchFailed("no integer a <= 64 makes the exponent positive")
 
-    def v_norm_of(v, g1):
-        return p_avg_norm(v, g1, math.inf).value  # sup norm target
-
-    rho, sc, v, f_scaled, v_norm, f_norm, it = _bisect_smallness(
+    return _bisect_smallness(  # sup norm target for v
         lambda rho: build_scaling(ScalingKind.PME_NORMALIZE, rho=rho, a=float(a), m=m),
-        u_field, f_field, v_norm_of, q, r, epsilon, max_iter,
+        a, math.inf, u_field, f_field, q, r, epsilon, max_iter,
     )
-    return SmallnessResult(rho, a, sc, v, f_scaled, v_norm, f_norm, it)

@@ -73,13 +73,12 @@ class OscillationProfile:
         return np.array([lv.radius for lv in self.levels])
 
     def series(self, quantity: str) -> np.ndarray:
-        try:
-            return np.array([getattr(lv, _QUANTITY_FIELD[quantity]) for lv in self.levels])
-        except KeyError:
-            raise ValueError(f"unknown quantity {quantity!r}; one of {sorted(_QUANTITY_FIELD)}") from None
+        if quantity not in _QUANTITIES:
+            raise ValueError(f"unknown quantity {quantity!r}; one of {sorted(_QUANTITIES)}")
+        return np.array([getattr(lv, quantity) for lv in self.levels])
 
 
-_QUANTITY_FIELD = {"osc": "osc", "sup_abs": "sup_abs", "campanato": "campanato"}
+_QUANTITIES = ("osc", "sup_abs", "campanato")
 
 
 def _golden_best_constant(vals: np.ndarray, p: float, iters: int = 80):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BlowUp, GridTooCoarse, OutsideValidity, UnstableConfig
 from .exponents import EquationKind, EquationParams
-from .fields import GridSpec, SourceTerm, SpaceTimeField, _axis_index, _node_gradient, sample
+from .fields import GridSpec, SourceTerm, SpaceTimeField, _axis_index, _dist2, _node_gradient, sample
 
 __all__ = [
     "Boundary",
@@ -167,13 +167,11 @@ class PowerProfile:
     """Static radial power |x - center|^s."""
 
     s: float = 0.75
-    center: tuple[float, ...] = (0.0,)
+    center: tuple[float, ...] | None = None  # None: the origin
 
     def eval(self, *coords):
         *xs, _t = coords
-        shifted = [np.asarray(x) - c for x, c in zip(xs, self.center)]
-        r2 = sum(x**2 for x in shifted)
-        return r2 ** (self.s / 2.0)
+        return _dist2(xs, self.center) ** (self.s / 2.0)
 
 
 def reference_eval(ref, point) -> float:

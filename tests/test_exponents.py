@@ -336,6 +336,56 @@ def test_dnl_consistency_on_shared_grid():
         assert abs(dnl_theta(2.0, m, beta) - pme_theta(m, pme_b)) <= 1e-12
 
 
+def test_sharp_exponents_match_each_family_formulas():
+    # one path serves every family; each family's public formulas must agree with it
+    rng = np.random.default_rng(19)
+
+    def rand_hom():
+        return HomogeneousExponent(float(rng.uniform(0.05, 1.0)))
+
+    for p, n, q, r in sample_admissible_pparabolic(rng, 300):
+        params, integ = EquationParams.p_parabolic(p, n), SourceIntegrability(q, r)
+        rep = sharp_exponents(params, integ)
+        alpha = pparabolic_alpha(p, n, q, r)
+        theta = pparabolic_theta(p, alpha)
+        assert rep.branch is Branch.SOURCE_LIMITED and not rep.open_interval
+        assert abs(rep.alpha_space - alpha) <= 1e-15
+        assert abs(rep.theta - theta) <= 1e-15
+        assert abs(rep.alpha_time - alpha / theta) <= 1e-15
+        assert sharp_exponents(params, integ, rand_hom()) == rep  # hom is ignored at m = 1
+    for m, n, q, r in sample_admissible_pme(rng, 300):
+        hom = rand_hom()
+        rep = sharp_exponents(EquationParams.pme(m, n), SourceIntegrability(q, r), hom)
+        bound = pme_source_bound(m, n, q, r)
+        alpha = min(bound, hom.value)
+        assert rep.open_interval is (bound > hom.value)
+        assert abs(rep.raw_alpha - alpha) <= 1e-15
+        assert abs(rep.alpha_space - alpha / m) <= 1e-15
+        assert abs(rep.theta - pme_theta(m, alpha)) <= 1e-15
+    count = 0
+    while count < 300:
+        p, m = float(rng.uniform(2.01, 6.0)), float(rng.uniform(1.01, 4.0))
+        params = EquationParams.doubly_nonlinear(p, m, int(rng.integers(1, 5)))
+        integ = SourceIntegrability(1.0 / rng.uniform(0.01, 0.95), INF if rng.random() < 0.2
+                                    else 1.0 / rng.uniform(0.01, 0.95))
+        if not check_admissibility(params, integ).admissible:
+            continue
+        count += 1
+        hom = rand_hom()
+        rep = sharp_exponents(params, integ, hom)
+        bound = dnl_source_bound(p, m, params.n, integ.q, integ.r)
+        beta = dnl_beta(p, m, min(bound, hom.value))
+        assert rep.open_interval is (bound > hom.value)
+        assert abs(rep.alpha_space - beta) <= 1e-15
+        assert abs(rep.theta - dnl_theta(p, m, beta)) <= 1e-15
+
+
+def test_pparabolic_needs_no_homogeneous_exponent_in_higher_dimension():
+    for n in (2, 3):
+        rep = sharp_exponents(EquationParams.p_parabolic(3.0, n), SourceIntegrability(2.0 * n, 2.0))
+        assert rep.alpha_space == pparabolic_alpha(3.0, n, 2.0 * n, 2.0)
+
+
 def test_equation_params_validation():
     with pytest.raises(ValueError):
         EquationParams.p_parabolic(1.5, 1)

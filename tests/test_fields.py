@@ -49,6 +49,23 @@ def test_grid_validation():
         GridSpec.one_d(0.0, 1.0, 5, 0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(x_extent=((0.0, math.inf),)),
+    dict(x_extent=((math.nan, 1.0),)),
+    dict(t_extent=(0.0, math.inf)),
+    dict(nx=(5.0,)),
+    dict(nt=2.5),
+    dict(dim=1.0),
+    dict(t_extent=(0.0,)),
+    dict(t_extent=(0.0, 1.0, 2.0)),
+])
+def test_grid_rejects_malformed_extents_and_counts(bad):
+    good = dict(dim=1, x_extent=((0.0, 1.0),), nx=(5,), t_extent=(0.0, 1.0), nt=3)
+    GridSpec(**good)
+    with pytest.raises(ValueError):
+        GridSpec(**{**good, **bad})
+
+
 def test_sample_zero_and_exact_nodes(unit_grid):
     f = sample(expression("zero"), unit_grid)
     assert not f.values.any()
@@ -310,6 +327,12 @@ def test_eval_nodes_new_grid_or_form_gets_fresh_values():
     assert repr(src) == repr(SourceTerm(src.form))
 
 
+def test_gaussian_scalar_center_applies_on_every_axis():
+    mesh = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 9, 11, 0.0, 1.0, 2).node_mesh()
+    scalar = expression("gaussian", center=0.5, width=0.3)(*mesh, 0.0)
+    assert np.array_equal(scalar, expression("gaussian", center=(0.5, 0.5), width=0.3)(*mesh, 0.0))
+
+
 _coord = st.floats(-1.0, 1.0)
 T_FREE_PARAMS = {
     "zero": st.fixed_dictionaries({}),
@@ -355,6 +378,7 @@ BAD_CONTAINERS = {
     "header not an object": lambda h, p: (b"[1, 2]", p),
     "header missing nt": lambda h, p: (json.dumps({k: v for k, v in h.items() if k != "nt"}).encode(), p),
     "grid rejected": lambda h, p: (json.dumps({**h, "nx": [2]}).encode(), p),
+    "non-finite extent": lambda h, p: (json.dumps({**h, "x_extent": [[0, math.inf]]}).encode(), p),
 }
 
 

@@ -97,6 +97,12 @@ def test_power_profile():
     assert reference_eval(ref, (0.5, 3.0)) == pytest.approx(0.5**0.75)
 
 
+def test_power_profile_default_center_is_the_origin_in_2d():
+    x, y = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 9, 11, 0.0, 1.0, 2).node_mesh()
+    np.testing.assert_allclose(PowerProfile(s=0.75).eval(x, y, 0.0), np.hypot(x, y) ** 0.75,
+                               rtol=1e-14, atol=0.0)
+
+
 # -- solve: oracle errors ----------------------------------------------------
 
 

@@ -1,7 +1,9 @@
 """Uniform space-time grids and sampled scalar fields.
 
 Fields are stored dense, row-major, time-outer (shape ``(nt, nx)`` in 1D,
-``(nt, nx0, nx1)`` in 2D) and are treated as immutable after construction.
+``(nt, nx0, nx1)`` in 2D).  A field is frozen, keeps nothing derived from its
+values, and holds ``values`` as a read-only view of the caller's array, not a
+copy.  A region read averages or scans only the block that holds the region.
 Off-node values blend linearly along one axis after another (multilinear
 interpolation), which keeps them inside the node range of their cell.
 Quadrature is the composite midpoint rule over space-time cells whose
@@ -134,39 +136,32 @@ class GridSpec:
         return tuple(np.meshgrid(*[self.x_cell_centers(a) for a in range(self.dim)], indexing="ij"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpaceTimeField:
-    """Sampled scalar field on a :class:`GridSpec`; immutable by convention."""
+    """Sampled scalar field on a :class:`GridSpec`; ``values`` is a read-only view."""
 
     grid: GridSpec
     values: np.ndarray
     name: str = ""
     provenance: str = ""
-    _cells: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         expected = (self.grid.nt, *self.grid.spatial_shape())
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != grid shape {expected}")
-        if not np.isfinite(self.values).all():
+        values = np.asarray(self.values, dtype=float).view()
+        values.flags.writeable = False
+        if values.shape != expected:
+            raise ValueError(f"values shape {values.shape} != grid shape {expected}")
+        if not np.isfinite(values).all():
             raise ValueError("field contains non-finite values")
+        object.__setattr__(self, "values", values)
 
     def cell_values(self) -> np.ndarray:
-        """Interpolated values at space-time cell centers (cached)."""
-        if self._cells is None:
-            self._cells = _cell_average(self.values)
-        return self._cells
+        """Interpolated values at every space-time cell center."""
+        return _cell_average(self.values)
 
     def interp(self, *coords) -> np.ndarray:
         """Multilinear interpolation; ``coords`` is (x[, y], t) arrays."""
         return _interp(self, coords[:-1], coords[-1])
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def max(self) -> float:
-        return float(self.values.max())
 
 
 def _axis_index(ndim: int, axis: int, index) -> tuple:
@@ -256,15 +251,28 @@ class Rectangle:
         return cls(grid.x_extent, grid.t_extent)
 
 
-def _in_region(values: np.ndarray, t: np.ndarray, mesh: tuple, region) -> np.ndarray | None:
-    """Rows of time-outer ``values`` whose time ``t`` is in the region's window, each
-    reduced to the ``mesh`` points in its space mask; None if either set is empty."""
+def _region_box(t: np.ndarray, mesh: tuple, region) -> tuple[tuple, np.ndarray] | None:
+    """Index of the smallest (t, x[, y]) block holding every point of ``region`` among
+    times ``t`` and space points ``mesh``, and the region's space mask in that block
+    (which keeps the full mask's C order); None if the region holds no point."""
     t0, t1 = region.time_window()
-    tsel = np.nonzero((t >= t0) & (t <= t1))[0]
+    rows = np.nonzero((t >= t0) & (t <= t1))[0]  # one run of rows
     mask = region.space_mask(*mesh)
-    if tsel.size == 0 or not mask.any():
+    if rows.size == 0 or not mask.any():
         return None
-    return values[tsel[0]:tsel[-1] + 1][:, mask]  # the window is one run of rows
+    space = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(mask))
+    return (slice(rows[0], rows[-1] + 1), *space), mask[space]
+
+
+def _cells_in(values: np.ndarray, grid: GridSpec, region) -> np.ndarray:
+    """Cell-center values of node ``values`` inside ``region``, one row per time slice;
+    averages only the node block one node wider than the region's cell block."""
+    box = _region_box(grid.t_cell_centers, grid.cell_mesh(), region)
+    if box is None:
+        raise EmptyIntersection("no cells inside region")
+    index, mask = box
+    nodes = tuple(slice(s.start, s.stop + 1) for s in index)
+    return _cell_average(values[nodes])[:, mask]
 
 
 def _region_cells(field: SpaceTimeField, region):
@@ -273,10 +281,7 @@ def _region_cells(field: SpaceTimeField, region):
     Returns (values_2d, n_slices) where values_2d has one row per time
     slice inside the window, flattened spatial cells in the region's mask.
     """
-    g = field.grid
-    flat = _in_region(field.cell_values(), g.t_cell_centers, g.cell_mesh(), region)
-    if flat is None:
-        raise EmptyIntersection("no cells inside region")
+    flat = _cells_in(field.values, field.grid, region)
     return flat, flat.shape[0]
 
 
@@ -535,10 +540,6 @@ class SourceTerm:
             return self.form
         return sample(self.form.fn(), grid, name="source")
 
-    @classmethod
-    def zero(cls):
-        return cls(ClosedForm("zero", {}))
-
 
 # -- serialization -----------------------------------------------------------
 
@@ -597,7 +598,7 @@ def load_field(path) -> SpaceTimeField:
     expected = 8 * math.prod(shape)
     if len(raw) != expected:
         raise IoFailure(f"{path} payload has {len(raw)} bytes; its grid needs {expected}")
-    values = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    values = np.frombuffer(raw, dtype="<f8").reshape(shape)
     return SpaceTimeField(grid, values, name=header.get("name", ""),
                           provenance=header.get("provenance", ""))
 

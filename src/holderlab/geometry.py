@@ -34,7 +34,7 @@ from .fields import (
     GridSpec,
     SpaceTimeField,
     _dist2,
-    _in_region,
+    _region_box,
     _region_cells,
     interpolate_eval,
 )
@@ -71,9 +71,9 @@ class IntrinsicCylinder:
     theta: float
 
     def __post_init__(self):
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise NonPositiveRadius(f"cylinder radius must be positive, got {self.tau}")
-        if self.theta < 1.0:
+        if not self.theta >= 1.0:
             raise InvalidScaleParameter(f"theta must be >= 1, got {self.theta}")
 
     @property
@@ -115,10 +115,6 @@ def make_cylinder(center, tau: float, theta: float) -> IntrinsicCylinder:
 @dataclass(frozen=True)
 class NormValue:
     value: float
-    kind: str  # "sup" | "p_avg" | "lqr"
-    p: float | None = None
-    q: float | None = None
-    r: float | None = None
 
 
 def sup_oscillation(field: SpaceTimeField, cyl: IntrinsicCylinder):
@@ -134,9 +130,11 @@ def sup_oscillation(field: SpaceTimeField, cyl: IntrinsicCylinder):
     if not cyl.contained_in(g):
         raise CylinderOutsideDomain(f"{cyl} escapes the field domain")
     center_val = interpolate_eval(field, (*cyl.x0, cyl.t0))
-    nodes = _in_region(field.values, g.t_nodes, g.node_mesh(), cyl)
-    if nodes is None:
+    box = _region_box(g.t_nodes, g.node_mesh(), cyl)
+    if box is None:
         return 0.0, abs(center_val)
+    index, mask = box
+    nodes = field.values[index][:, mask]
     vmax = max(float(nodes.max()), center_val)
     vmin = min(float(nodes.min()), center_val)
     return vmax - vmin, max(abs(vmax), abs(vmin))
@@ -149,13 +147,13 @@ def p_avg_norm(field: SpaceTimeField, region, p: float) -> NormValue:
     |Q|^(-1/p) ||v||_p route to rounding because both use the same
     midpoint cells.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValueError("p must be >= 1")
     flat, _ = _region_cells(field, region)
     if math.isinf(p):
-        return NormValue(float(np.abs(flat).max()), "p_avg", p=p)
+        return NormValue(float(np.abs(flat).max()))
     mean = float((np.abs(flat) ** p).mean())
-    return NormValue(mean ** (1.0 / p), "p_avg", p=p)
+    return NormValue(mean ** (1.0 / p))
 
 
 def lqr_norm(field: SpaceTimeField, region, q: float, r: float) -> NormValue:
@@ -163,7 +161,7 @@ def lqr_norm(field: SpaceTimeField, region, q: float, r: float) -> NormValue:
 
     Infinite exponents are essential sups approximated by the grid max.
     """
-    if q < 1.0 or r < 1.0:
+    if not (q >= 1.0 and r >= 1.0):
         raise ValueError("q and r must be >= 1")
     flat, _ = _region_cells(field, region)
     space_vol = field.grid.space_cell_volume
@@ -175,7 +173,7 @@ def lqr_norm(field: SpaceTimeField, region, q: float, r: float) -> NormValue:
         value = float(slices.max())
     else:
         value = float(((slices**r).sum() * field.grid.dt) ** (1.0 / r))
-    return NormValue(value, "lqr", q=q, r=r)
+    return NormValue(value)
 
 
 # -- anisotropic rescaling ----------------------------------------------------

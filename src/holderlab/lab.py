@@ -21,8 +21,8 @@ from .errors import (
     EmptyIntersection,
     InsufficientLevels,
 )
-from .fields import (SourceTerm, SpaceTimeField, _cell_average, _in_region, _node_gradient,
-                     _region_cells, interpolate_eval, sample)
+from .fields import (SourceTerm, SpaceTimeField, _cells_in, _node_gradient, _region_cells,
+                     interpolate_eval, sample)
 from .geometry import lqr_norm, make_cylinder, sup_oscillation
 
 __all__ = [
@@ -400,14 +400,11 @@ def caccioppoli_check(
     grad_u2 = sum(_node_gradient(u, g.dx[a], a + 1) ** 2 for a in range(g.dim))
     grad_xi2 = sum(_node_gradient(xi, g.dx[a], a + 1) ** 2 for a in range(g.dim))
     xi_t = _node_gradient(xi, g.dt, 0)
-    tc, cell_mesh = g.t_cell_centers, g.cell_mesh()
 
     def restrict(node_arr):
-        return _in_region(_cell_average(node_arr), tc, cell_mesh, region)
+        return _cells_in(node_arr, g, region)
 
     u2xi2 = restrict(u**2 * xi**2)
-    if u2xi2 is None:
-        raise EmptyIntersection("no cells inside region")
     lhs_sup = float(u2xi2.sum(axis=1).max() * g.space_cell_volume)
     lhs_grad = float(restrict(np.abs(u) ** (m - 1.0) * grad_u2 * xi**2).sum() * g.cell_volume)
     rhs_time = float(restrict(u**2 * xi * np.abs(xi_t)).sum() * g.cell_volume)

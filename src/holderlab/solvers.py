@@ -72,7 +72,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.flux_regularization_eps < 0.0:
+        if not self.flux_regularization_eps >= 0.0:
             raise ValueError("flux_regularization_eps must be >= 0")
 
 
@@ -129,7 +129,7 @@ class BarenblattPME:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.m <= 1.0:
+        if not self.m > 1.0:
             raise ValueError("Barenblatt profile requires m > 1")
 
     @property
@@ -195,7 +195,7 @@ def stable_dt(grid: GridSpec, field_bound: float, grad_bound: float,
     |grad u| = ``grad_bound``.  With a degenerate bound (D_max = 0) the
     pure-transport fallback cfl_safety * dx^2 is returned.
     """
-    if field_bound < 0 or grad_bound < 0:
+    if not (field_bound >= 0 and grad_bound >= 0):
         raise ValueError("bounds must be nonnegative")
     d_max = _face_diffusivity(params, cfg, field_bound, field_bound, grad_bound**2)
     return _Stepper(params, cfg, grid).step(float(d_max))

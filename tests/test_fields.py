@@ -1,8 +1,10 @@
 """Grids, interpolation, midpoint quadrature, catalog, serialization."""
 
+import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from holderlab.fields import (
     sample,
     save_field,
 )
+from holderlab.geometry import make_cylinder, p_avg_norm
 
 
 @pytest.fixture
@@ -391,3 +394,47 @@ def test_load_field_bad_container_raises_io_failure(tmp_path, unit_grid, case):
     p.write_bytes(magic + b"\n" + header + b"\n" + payload)
     with pytest.raises(IoFailure):
         load_field(p)
+
+
+# -- fields are values ----------------------------------------------------------
+
+
+def test_field_values_are_read_only(unit_grid):
+    f = sample(expression("constant", value=1.0), unit_grid)
+    with pytest.raises(ValueError):
+        f.values[0, 0] = 2.0
+
+
+def test_field_is_frozen(unit_grid):
+    f = sample(expression("constant", value=1.0), unit_grid)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.name = "other"
+
+
+def test_field_reads_follow_an_edit_of_the_callers_array(unit_grid):
+    values = np.random.default_rng(2).normal(size=(unit_grid.nt, *unit_grid.nx))
+    f = SpaceTimeField(unit_grid, values)
+    region = Rectangle.one_d(0.2, 0.7, 0.1, 0.9)
+    before = p_avg_norm(f, region, 2.0).value
+    values *= 3.0
+    after = p_avg_norm(f, region, 2.0).value
+    assert after == p_avg_norm(SpaceTimeField(unit_grid, values.copy()), region, 2.0).value
+    assert after != before
+
+
+def test_region_read_allocates_only_its_block():
+    """A norm over the unit cylinder of a much larger field allocates a small part
+    of the field's bytes and keeps nothing once it returns."""
+    g = GridSpec.one_d(-4.0, 4.0, 801, -16.0, 0.0, 401)
+    rng = np.random.default_rng(3)
+    cyl = make_cylinder((0.0, 0.0), 1.0, 2.0)
+    p_avg_norm(SpaceTimeField(g, rng.normal(size=(g.nt, *g.nx))), cyl, 2.0)  # first-call setup
+    f = SpaceTimeField(g, rng.normal(size=(g.nt, *g.nx)))
+    tracemalloc.start()
+    try:
+        p_avg_norm(f, cyl, 2.0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < f.values.nbytes / 4
+    assert retained < 4096  # bookkeeping only; the field's bytes are 2.57 MB

@@ -7,6 +7,7 @@ import pytest
 
 from holderlab.errors import (
     CylinderOutsideDomain,
+    EmptyIntersection,
     InvalidScaleParameter,
     NonPositiveRadius,
     ScaledDomainEscapes,
@@ -16,12 +17,16 @@ from holderlab.fields import (
     GridSpec,
     Rectangle,
     SpaceTimeField,
+    _cell_average,
+    _region_cells,
     covered_measure,
     expression,
     integrate_region,
+    interpolate_eval,
     sample,
 )
 from holderlab.geometry import (
+    IntrinsicCylinder,
     ScalingKind,
     apply_scaling,
     build_scaling,
@@ -33,7 +38,7 @@ from holderlab.geometry import (
     scaling_norm_factor,
     sup_oscillation,
 )
-from holderlab.solvers import BarenblattPME, residual, sample_reference
+from holderlab.solvers import BarenblattPME, SolverConfig, residual, sample_reference, stable_dt
 
 
 def g1_grid(nx=201, nt=101):
@@ -345,3 +350,107 @@ def test_smallness_search_pme():
     assert res.v_norm <= 1.0 and res.f_norm <= 1e-2
     # the scaling's own norm-factor prediction must hold on the output
     assert 0.0 < res.rho < 1.0
+
+
+# -- range checks -------------------------------------------------------------
+
+
+def _unit_field():
+    return sample(expression("constant", value=1.0), g1_grid(21, 11))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: make_cylinder((0.0, 0.0), math.nan, 2.0), NonPositiveRadius),
+    (lambda: make_cylinder((0.0, 0.0), 0.5, math.nan), InvalidScaleParameter),
+    (lambda: p_avg_norm(_unit_field(), Rectangle.one_d(-1, 1, -1, 0), math.nan), ValueError),
+    (lambda: lqr_norm(_unit_field(), Rectangle.one_d(-1, 1, -1, 0), math.nan, 2.0), ValueError),
+    (lambda: SolverConfig(flux_regularization_eps=math.nan), ValueError),
+    (lambda: BarenblattPME(m=math.nan), ValueError),
+    (lambda: stable_dt(g1_grid(21, 11), math.nan, 1.0, EquationParams.pme(2.0, 1), SolverConfig()),
+     ValueError),
+], ids=["cylinder_tau", "cylinder_theta", "p_avg_p", "lqr_q", "solver_eps", "barenblatt_m",
+        "stable_dt_bound"])
+def test_range_checks_reject_nan(call, error):
+    with pytest.raises(error):
+        call()
+
+
+# -- region reads against a whole-field reference -----------------------------
+
+
+def _whole_field_rows(values, t, mesh, region):
+    """Rows of the whole time-outer ``values`` in the region's time window, each
+    reduced to the ``mesh`` points in its space mask; None if either set is empty."""
+    t0, t1 = region.time_window()
+    rows = np.nonzero((t >= t0) & (t <= t1))[0]
+    mask = region.space_mask(*mesh)
+    if rows.size == 0 or not mask.any():
+        return None
+    return values[rows[0]:rows[-1] + 1][:, mask]
+
+
+def _random_regions(g, rng, n=24):
+    """Cylinders inside the domain (every fourth touching its low corner and its
+    last time), then cylinders and rectangles anywhere, some holding no point."""
+    (t_lo, t_hi), regions = g.t_extent, []
+    for i in range(n):
+        tau = float(rng.uniform(0.003, 0.45))
+        x0 = [lo + tau if i % 4 == 0 else rng.uniform(lo + tau, hi - tau) for lo, hi in g.x_extent]
+        t0 = t_hi if i % 4 == 0 else rng.uniform(t_lo + tau**2, t_hi)
+        regions.append(make_cylinder((*x0, t0), tau, 2.0))
+    for i in range(n):
+        x0 = [rng.uniform(lo - 0.2, hi + 0.2) for lo, hi in g.x_extent]
+        regions.append(make_cylinder((*x0, rng.uniform(t_lo - 0.1, t_hi + 0.1)),
+                                     rng.choice([1e-3, rng.uniform(1e-3, 1.5)]), rng.uniform(1.0, 3.0)))
+        width = 1e-3 if i % 3 == 0 else rng.uniform(0.0, 1.0)  # narrow ones can miss every point
+        x_ext = tuple((a, a + width) for a in (rng.uniform(lo - 0.3, hi) for lo, hi in g.x_extent))
+        t_a = rng.uniform(t_lo - 0.2, t_hi)
+        regions.append(Rectangle(x_ext, (t_a, t_a + (1e-3 if i % 4 == 1 else rng.uniform(0.0, 1.0)))))
+    outside = tuple((hi + 0.1, hi + 0.5) for _, hi in g.x_extent)
+    return regions + [Rectangle.full_domain(g), Rectangle(outside, g.t_extent),
+                      Rectangle(g.x_extent, (t_lo + 0.25 * g.dt, t_lo + 0.75 * g.dt))]
+
+
+REGION_GRIDS = [GridSpec.one_d(-1.0, 1.0, 161, 0.0, 1.0, 57),
+                GridSpec.two_d((-1.0, 1.0), (-0.5, 1.5), 41, 37, 0.0, 1.0, 23)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("g", REGION_GRIDS, ids=["1d", "2d"])
+def test_region_cells_equal_whole_field_reference(g):
+    rng = np.random.default_rng(17 + g.dim)
+    f = SpaceTimeField(g, rng.normal(size=(g.nt, *g.nx)))
+    all_cells = _cell_average(f.values)
+    regions, empty = _random_regions(g, rng), 0
+    for region in regions:
+        want = _whole_field_rows(all_cells, g.t_cell_centers, g.cell_mesh(), region)
+        if want is None:
+            empty += 1
+            with pytest.raises(EmptyIntersection):
+                _region_cells(f, region)
+            continue
+        got, n_slices = _region_cells(f, region)
+        assert _same_bits(got, want) and n_slices == want.shape[0]
+    assert empty >= 5 and len(regions) - empty >= 20  # both outcomes are covered
+
+
+@pytest.mark.parametrize("g", REGION_GRIDS, ids=["1d", "2d"])
+def test_sup_oscillation_equals_whole_field_reference(g):
+    rng = np.random.default_rng(29 + g.dim)
+    f = SpaceTimeField(g, rng.normal(size=(g.nt, *g.nx)))
+    cylinders = [c for c in _random_regions(g, rng) if isinstance(c, IntrinsicCylinder) and c.contained_in(g)]
+    empty = 0
+    for cyl in cylinders:
+        center = interpolate_eval(f, (*cyl.x0, cyl.t0))
+        nodes = _whole_field_rows(f.values, g.t_nodes, g.node_mesh(), cyl)
+        if nodes is None:
+            empty += 1
+            want = (0.0, abs(center))
+        else:
+            vmax, vmin = max(float(nodes.max()), center), min(float(nodes.min()), center)
+            want = (vmax - vmin, max(abs(vmax), abs(vmin)))
+        assert sup_oscillation(f, cyl) == want
+    assert len(cylinders) >= 24 and empty >= 1

@@ -364,6 +364,28 @@ def test_caccioppoli_source_term_enters():
     assert rep.ratio == 0.0  # lhs vanishes for u = 0
 
 
+@pytest.mark.parametrize("m, terms", [
+    (1.0, (0.18916597646421845, 0.003951029499609521, 0.18882418772441642, 1.2574261399005844,
+           0.8752551733406385)),
+    (2.0, (0.18916597646421845, 0.00406877371841191, 0.18882418772441642, 1.2874043347117252,
+           0.8752551733406385)),
+    (3.0, (0.18916597646421845, 0.004199276200571743, 0.18882418772441642, 1.3223196595635895,
+           0.8752551733406385)),
+])
+def test_caccioppoli_2d_with_source_matches_whole_field_numbers(m, terms):
+    """The five terms as the whole-field cell average gave them (same quadrature)."""
+    g = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 41, 37, 0.0, 1.0, 21)
+    u = sample(lambda x, y, t: 1.0 + x * y + 0.5 * t * x**2, g)
+    region = Rectangle(((-0.6, 0.7), (-0.5, 0.4)), (0.2, 0.9))
+    cutoff = expression("bump", x_support=region.x_extent, t_support=region.t_extent)
+    source = SourceTerm(ClosedForm("affine", {"slopes": (1.0, -2.0), "t_slope": 0.5, "offset": 0.3}),
+                        q=2.0, r=3.0)
+    rep = caccioppoli_check(u, cutoff, source, m, region)
+    got = (rep.lhs_sup_term, rep.lhs_grad_term, rep.rhs_time_term, rep.rhs_space_term,
+           rep.rhs_source_term)
+    assert got == pytest.approx(terms, rel=1e-12)
+
+
 def test_caccioppoli_cutoff_not_compact():
     f = sample(expression("constant", value=1.0), g1_grid(201, 101))
     region = Rectangle.one_d(-0.5, 0.5, -0.8, -0.2)

@@ -29,10 +29,6 @@ class InvalidScaleParameter(HolderLabError, ValueError):
     pass
 
 
-class UnsupportedKind(HolderLabError, ValueError):
-    pass
-
-
 class CylinderOutsideDomain(HolderLabError):
     pass
 

@@ -136,9 +136,12 @@ class GridSpec:
         return tuple(np.meshgrid(*[self.x_cell_centers(a) for a in range(self.dim)], indexing="ij"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTimeField:
-    """Sampled scalar field on a :class:`GridSpec`; ``values`` is a read-only view."""
+    """Sampled scalar field on a :class:`GridSpec`; ``values`` is a read-only view.
+
+    Fields compare and hash by identity: a value comparison would scan every node.
+    """
 
     grid: GridSpec
     values: np.ndarray
@@ -264,14 +267,21 @@ def _region_box(t: np.ndarray, mesh: tuple, region) -> tuple[tuple, np.ndarray] 
     return (slice(rows[0], rows[-1] + 1), *space), mask[space]
 
 
-def _cells_in(values: np.ndarray, grid: GridSpec, region) -> np.ndarray:
-    """Cell-center values of node ``values`` inside ``region``, one row per time slice;
-    averages only the node block one node wider than the region's cell block."""
+def _cell_block(grid: GridSpec, region) -> tuple[tuple, np.ndarray]:
+    """Index of the node block one node wider than ``region``'s cell block, and the
+    region's cell mask in that block's cells; raises ``EmptyIntersection`` for a
+    region without cells."""
     box = _region_box(grid.t_cell_centers, grid.cell_mesh(), region)
     if box is None:
         raise EmptyIntersection("no cells inside region")
     index, mask = box
-    nodes = tuple(slice(s.start, s.stop + 1) for s in index)
+    return tuple(slice(s.start, s.stop + 1) for s in index), mask
+
+
+def _cells_in(values: np.ndarray, grid: GridSpec, region) -> np.ndarray:
+    """Cell-center values of node ``values`` inside ``region``, one row per time slice;
+    averages only the node block one node wider than the region's cell block."""
+    nodes, mask = _cell_block(grid, region)
     return _cell_average(values[nodes])[:, mask]
 
 

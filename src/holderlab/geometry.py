@@ -28,11 +28,12 @@ from .errors import (
     NonPositiveRadius,
     ScaledDomainEscapes,
     SmallnessSearchFailed,
-    UnsupportedKind,
 )
 from .fields import (
     GridSpec,
     SpaceTimeField,
+    _cell_average,
+    _cell_block,
     _dist2,
     _region_box,
     _region_cells,
@@ -147,13 +148,18 @@ def p_avg_norm(field: SpaceTimeField, region, p: float) -> NormValue:
     |Q|^(-1/p) ||v||_p route to rounding because both use the same
     midpoint cells.
     """
+    flat, _ = _region_cells(field, region)
+    return NormValue(_p_avg(flat, p))
+
+
+def _p_avg(flat: np.ndarray, p: float) -> float:
+    """(mean of |v|^p over the cell values ``flat``)^(1/p); the max of |v| for p = inf."""
     if not p >= 1.0:
         raise ValueError("p must be >= 1")
-    flat, _ = _region_cells(field, region)
     if math.isinf(p):
-        return NormValue(float(np.abs(flat).max()))
+        return float(np.abs(flat).max())
     mean = float((np.abs(flat) ** p).mean())
-    return NormValue(mean ** (1.0 / p))
+    return mean ** (1.0 / p)
 
 
 def lqr_norm(field: SpaceTimeField, region, q: float, r: float) -> NormValue:
@@ -161,19 +167,21 @@ def lqr_norm(field: SpaceTimeField, region, q: float, r: float) -> NormValue:
 
     Infinite exponents are essential sups approximated by the grid max.
     """
+    flat, _ = _region_cells(field, region)
+    return NormValue(_lqr(flat, field.grid, q, r))
+
+
+def _lqr(flat: np.ndarray, grid: GridSpec, q: float, r: float) -> float:
+    """Mixed L^q(L^r) norm of the cell values ``flat`` (one row per time slice) of ``grid``."""
     if not (q >= 1.0 and r >= 1.0):
         raise ValueError("q and r must be >= 1")
-    flat, _ = _region_cells(field, region)
-    space_vol = field.grid.space_cell_volume
     if math.isinf(q):
         slices = np.abs(flat).max(axis=1)
     else:
-        slices = ((np.abs(flat) ** q).sum(axis=1) * space_vol) ** (1.0 / q)
+        slices = ((np.abs(flat) ** q).sum(axis=1) * grid.space_cell_volume) ** (1.0 / q)
     if math.isinf(r):
-        value = float(slices.max())
-    else:
-        value = float(((slices**r).sum() * field.grid.dt) ** (1.0 / r))
-    return NormValue(value)
+        return float(slices.max())
+    return float(((slices**r).sum() * grid.dt) ** (1.0 / r))
 
 
 # -- anisotropic rescaling ----------------------------------------------------
@@ -216,8 +224,9 @@ def build_scaling(kind: ScalingKind, **params) -> AnisotropicScaling:
     """Construct a scaling whose factors satisfy the kind's exact coupling.
 
     Contraction parameters ``lam`` and ``rho`` live in (0, 1]; the value 1
-    yields the identity.
+    yields the identity.  A ``kind`` that names no member raises ``ValueError``.
     """
+    kind = ScalingKind(kind)
     if kind is ScalingKind.POISSON_ZOOM:
         lam, p_hat, n = params["lam"], params["p_hat"], params["n"]
         _require(0.0 < lam <= 1.0, "lam must lie in (0, 1]")
@@ -243,15 +252,13 @@ def build_scaling(kind: ScalingKind, **params) -> AnisotropicScaling:
         return AnisotropicScaling(
             kind, space, space**theta, space**-gamma, space ** (2.0 - alpha), dict(params)
         )
-    if kind is ScalingKind.PME_NORMALIZE:
-        rho, a, m = params["rho"], params["a"], params["m"]
-        _require(0.0 < rho <= 1.0, "rho must lie in (0, 1]")
-        _require(a > 0.0, "a must be positive")
-        _require(m >= 1.0, "m must be >= 1")
-        return AnisotropicScaling(
-            kind, rho**a, rho ** ((m - 1.0) + 2.0 * a), rho, rho ** (m + 2.0 * a), dict(params)
-        )
-    raise UnsupportedKind(f"unknown scaling kind {kind!r}")
+    rho, a, m = params["rho"], params["a"], params["m"]  # PME_NORMALIZE
+    _require(0.0 < rho <= 1.0, "rho must lie in (0, 1]")
+    _require(a > 0.0, "a must be positive")
+    _require(m >= 1.0, "m must be >= 1")
+    return AnisotropicScaling(
+        kind, rho**a, rho ** ((m - 1.0) + 2.0 * a), rho, rho ** (m + 2.0 * a), dict(params)
+    )
 
 
 def apply_scaling(
@@ -279,17 +286,29 @@ def apply_scaling(
             (g_src.t_extent[0] / sc.time_factor, g_src.t_extent[1] / sc.time_factor),
             g_src.nt,
         )
+    _require_image_inside(grid, sc, g_src)
+    out = _sample_scaled(field, sc, factor, grid.node_mesh(), grid.t_nodes)
+    return SpaceTimeField(grid, out, name=field.name,
+                          provenance=f"{field.provenance}|{sc.kind.value}")
+
+
+def _require_image_inside(grid: GridSpec, sc: AnisotropicScaling, g_src: GridSpec) -> None:
     image = [(lo * sc.space_factor, hi * sc.space_factor) for lo, hi in grid.x_extent]
     image.append((grid.t_extent[0] * sc.time_factor, grid.t_extent[1] * sc.time_factor))
     if not _box_inside(image, g_src):
         raise ScaledDomainEscapes("the grid's image escapes the source domain")
 
-    mesh = [np.clip(x * sc.space_factor, g_src.x_extent[a][0], g_src.x_extent[a][1])
-            for a, x in enumerate(grid.node_mesh())]
-    t_mapped = np.clip(grid.t_nodes * sc.time_factor, *g_src.t_extent)
-    out = field.interp(*mesh, t_mapped.reshape(grid.nt, *(1,) * grid.dim))
-    return SpaceTimeField(grid, factor * out, name=field.name,
-                          provenance=f"{field.provenance}|{sc.kind.value}")
+
+def _sample_scaled(field: SpaceTimeField, sc: AnisotropicScaling, factor: float,
+                   mesh: tuple, t: np.ndarray) -> np.ndarray:
+    """factor * field(space x, time t) at the space nodes ``mesh`` and the times ``t``,
+    each mapped coordinate clipped into the field's domain.  Every output node is
+    computed on its own, so a block of nodes gives the same bits as the whole grid."""
+    g_src = field.grid
+    mapped = [np.clip(x * sc.space_factor, g_src.x_extent[a][0], g_src.x_extent[a][1])
+              for a, x in enumerate(mesh)]
+    t_mapped = np.clip(t * sc.time_factor, *g_src.t_extent)
+    return factor * field.interp(*mapped, t_mapped.reshape(t.size, *(1,) * len(mesh)))
 
 
 @dataclass(frozen=True)
@@ -310,8 +329,7 @@ class ScalingNormFactor:
 
 def scaling_norm_factor(sc: AnisotropicScaling, q: float, r: float, n: int) -> ScalingNormFactor:
     """Exact algebraic norm prefactor F * S^(-n/q) * T^(-1/r)."""
-    if not isinstance(sc.kind, ScalingKind):
-        raise UnsupportedKind(f"unknown scaling kind {sc.kind!r}")
+    kind = ScalingKind(sc.kind)
     iq = 1.0 / q
     ir = 1.0 / r
     factor = (
@@ -319,12 +337,12 @@ def scaling_norm_factor(sc: AnisotropicScaling, q: float, r: float, n: int) -> S
         * sc.space_factor ** (-n * iq)
         * sc.time_factor ** (-ir)
     )
-    if sc.kind is ScalingKind.PME_ZOOM:
+    if kind is ScalingKind.PME_ZOOM:
         alpha, theta = sc.params["alpha"], sc.params["theta"]
         e_over_r = (2.0 - alpha) - n * iq - theta * ir
         e = e_over_r * r if not math.isinf(r) else (math.inf if e_over_r > 0 else -math.inf if e_over_r < 0 else 0.0)
         return ScalingNormFactor(factor, e, e_over_r >= 0.0)
-    if sc.kind is ScalingKind.PME_NORMALIZE:
+    if kind is ScalingKind.PME_NORMALIZE:
         e = pme_smallness_exponent(sc.params["m"], sc.params["a"], n, q, r)
         return ScalingNormFactor(factor, e, e > 0.0)
     return ScalingNormFactor(factor)
@@ -357,24 +375,44 @@ def _unit_cylinder(dim):
     return IntrinsicCylinder((0.0,) * dim, 0.0, 1.0, 2.0)
 
 
+def _g1_reader(field: SpaceTimeField, g1: IntrinsicCylinder):
+    """Function of (scaling, factor) returning G1's cell values of the transformed
+    field.  It samples only the node block that the cell reads of G1 use, after the
+    full grid's escape check of ``apply_scaling``."""
+    g = field.grid
+    (t_nodes, *space), mask = _cell_block(g, g1)
+    mesh = tuple(x[tuple(space)] for x in g.node_mesh())
+    t = g.t_nodes[t_nodes]
+
+    def cells(sc: AnisotropicScaling, factor: float) -> np.ndarray:
+        _require_image_inside(g, sc, g)
+        return _cell_average(_sample_scaled(field, sc, factor, mesh, t))[:, mask]
+
+    return cells
+
+
 def _bisect_smallness(make_scaling, a, v_power, u_field, f_field, q, r, epsilon, max_iter):
     """Largest rho in (0, 1) with ||v||_{v_power,avg;G1} <= 1 and ||f~||_{q,r;G1} <= epsilon.
 
-    Every candidate is verified by direct norm evaluation on the
-    transformed fields; the best feasible one is returned.
+    Each candidate's norms are read on the node block that holds G1's cells,
+    sampled with the same operations as ``apply_scaling``, so they equal the
+    norms of the full transformed fields bitwise.  The returned ``v`` and
+    ``f_scaled`` are the full-grid fields of the best feasible candidate.
+    Raises ``EmptyIntersection`` before any candidate if a grid has no cell
+    in G1, and ``ScaledDomainEscapes`` at the first candidate whose full grid
+    maps outside its field's domain.
     """
     g1 = _unit_cylinder(u_field.grid.dim)
+    u_cells, f_cells = _g1_reader(u_field, g1), _g1_reader(f_field, g1)
     best = None
     lo, hi = 0.0, 1.0
     for it in range(1, max_iter + 1):
         rho = 0.5 * (lo + hi)
         sc = make_scaling(rho)
-        v = apply_scaling(u_field, sc, grid=u_field.grid)
-        f_scaled = apply_scaling(f_field, sc, grid=f_field.grid, role="source")
-        v_norm = p_avg_norm(v, g1, v_power).value
-        f_norm = lqr_norm(f_scaled, g1, q, r).value
+        v_norm = _p_avg(u_cells(sc, sc.amplitude_factor), v_power)
+        f_norm = _lqr(f_cells(sc, sc.source_factor), f_field.grid, q, r)
         if v_norm <= 1.0 and f_norm <= epsilon:
-            best = SmallnessResult(rho, a, sc, v, f_scaled, v_norm, f_norm, it)
+            best = rho, sc, v_norm, f_norm, it
             lo = rho
         else:
             hi = rho
@@ -382,7 +420,10 @@ def _bisect_smallness(make_scaling, a, v_power, u_field, f_field, q, r, epsilon,
         raise SmallnessSearchFailed(
             f"no rho in (0,1) reached the targets after {max_iter} bisection steps"
         )
-    return best
+    rho, sc, v_norm, f_norm, it = best
+    v = apply_scaling(u_field, sc, grid=u_field.grid)
+    f_scaled = apply_scaling(f_field, sc, grid=f_field.grid, role="source")
+    return SmallnessResult(rho, a, sc, v, f_scaled, v_norm, f_norm, it)
 
 
 def pparabolic_smallness(

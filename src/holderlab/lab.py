@@ -82,10 +82,12 @@ _QUANTITIES = ("osc", "sup_abs", "campanato")
 
 
 def _golden_best_constant(vals: np.ndarray, p: float, iters: int = 80):
-    """Constant minimizing the averaged |v - c|^p distance, by golden section.
+    """Constant c minimizing the averaged distance mean(|v - c|^p)^(1/p), and that
+    distance.
 
-    The objective is convex in c, so the bracket [min v, max v] always
-    contains the minimizer.
+    The minimizer is the mean for p = 2 and the median for p = 1.  For other p
+    it is found by golden section: the objective is convex in c, so the bracket
+    [min v, max v] always contains the minimizer.
     """
     lo, hi = float(vals.min()), float(vals.max())
     if hi - lo < 1e-15:
@@ -94,21 +96,26 @@ def _golden_best_constant(vals: np.ndarray, p: float, iters: int = 80):
     def h(c):
         return float((np.abs(vals - c) ** p).mean())
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    h1, h2 = h(c1), h(c2)
-    for _ in range(iters):
-        if h1 <= h2:
-            b, c2, h2 = c2, c1, h1
-            c1 = b - invphi * (b - a)
-            h1 = h(c1)
-        else:
-            a, c1, h1 = c1, c2, h2
-            c2 = a + invphi * (b - a)
-            h2 = h(c2)
-    c = 0.5 * (a + b)
+    if p == 2.0:
+        c = float(vals.mean())
+    elif p == 1.0:
+        c = float(np.median(vals))
+    else:
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = lo, hi
+        c1 = b - invphi * (b - a)
+        c2 = a + invphi * (b - a)
+        h1, h2 = h(c1), h(c2)
+        for _ in range(iters):
+            if h1 <= h2:
+                b, c2, h2 = c2, c1, h1
+                c1 = b - invphi * (b - a)
+                h1 = h(c1)
+            else:
+                a, c1, h1 = c1, c2, h2
+                c2 = a + invphi * (b - a)
+                h2 = h(c2)
+        c = 0.5 * (a + b)
     return c, h(c) ** (1.0 / p)
 
 
@@ -150,7 +157,9 @@ def oscillation_profile(
         Deepest requested level; the profile truncates earlier if a
         cylinder falls below one grid cell.
     p : float
-        Exponent of the averaged distance to the best constant.
+        Exponent of the averaged distance to the best constant.  The best
+        constant is the mean for p = 2 and the median for p = 1, exactly;
+        other p use golden section.
     base_radius : float
     """
     if not 0.0 < lam <= 0.5:

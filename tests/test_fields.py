@@ -411,6 +411,14 @@ def test_field_is_frozen(unit_grid):
         f.name = "other"
 
 
+def test_fields_compare_and_hash_by_identity(unit_grid):
+    f = sample(expression("affine", slopes=(1.0,)), unit_grid)
+    g = sample(expression("affine", slopes=(1.0,)), unit_grid)
+    assert f == f and f != g
+    assert len({f, g, f}) == 2
+    assert SourceTerm(f) == SourceTerm(f) and SourceTerm(f) != SourceTerm(g)
+
+
 def test_field_reads_follow_an_edit_of_the_callers_array(unit_grid):
     values = np.random.default_rng(2).normal(size=(unit_grid.nt, *unit_grid.nx))
     f = SpaceTimeField(unit_grid, values)

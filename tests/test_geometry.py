@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from holderlab import geometry
 from holderlab.errors import (
     CylinderOutsideDomain,
     EmptyIntersection,
@@ -26,6 +27,7 @@ from holderlab.fields import (
     sample,
 )
 from holderlab.geometry import (
+    AnisotropicScaling,
     IntrinsicCylinder,
     ScalingKind,
     apply_scaling,
@@ -243,6 +245,16 @@ def test_build_scaling_validation():
         build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=0, theta=1.5, gamma=0.5, alpha=1.0)
 
 
+def test_unknown_scaling_kind_raises_value_error():
+    with pytest.raises(ValueError):
+        build_scaling("pme_rotate", rho=0.5)
+    sc = AnisotropicScaling("pme_rotate", 1.0, 1.0, 1.0, 1.0, {})
+    with pytest.raises(ValueError):
+        scaling_norm_factor(sc, 2.0, 2.0, 1)
+    by_value = build_scaling("pme_normalize", rho=0.5, a=1.0, m=2.0)
+    assert by_value.kind is ScalingKind.PME_NORMALIZE
+
+
 def test_apply_scaling_identity_and_linear():
     g = g1_grid(101, 41)
     f = sample(expression("affine", slopes=(1.0,)), g)
@@ -350,6 +362,109 @@ def test_smallness_search_pme():
     assert res.v_norm <= 1.0 and res.f_norm <= 1e-2
     # the scaling's own norm-factor prediction must hold on the output
     assert 0.0 < res.rho < 1.0
+
+
+# -- smallness search against the full-grid loop -----------------------------
+
+
+def _full_grid_search(kind, params, a, v_power, u, f, q, r, epsilon=1e-2, max_iter=60):
+    """The smallness bisection that rescales both whole fields at every candidate."""
+    g1 = IntrinsicCylinder((0.0,) * u.grid.dim, 0.0, 1.0, 2.0)
+    best, lo, hi = None, 0.0, 1.0
+    for it in range(1, max_iter + 1):
+        rho = 0.5 * (lo + hi)
+        sc = build_scaling(kind, rho=rho, **params)
+        v = apply_scaling(u, sc, grid=u.grid)
+        f_scaled = apply_scaling(f, sc, grid=f.grid, role="source")
+        v_norm = p_avg_norm(v, g1, v_power).value
+        f_norm = lqr_norm(f_scaled, g1, q, r).value
+        if v_norm <= 1.0 and f_norm <= epsilon:
+            best = (rho, a, sc, v, f_scaled, v_norm, f_norm, it)
+            lo = rho
+        else:
+            hi = rho
+    return best
+
+
+# the first grid has the witness's time levels, t in [-16, 0] with 201 levels,
+# which put a G1 cell centre on the t = -1 face (to rounding)
+SMALLNESS_GRIDS = [
+    GridSpec.one_d(-4.0, 4.0, 201, -16.0, 0.0, 201),
+    GridSpec.two_d((-2.0, 2.0), (-1.5, 2.5), 33, 29, -4.0, 0.5, 25),
+]
+
+
+def _smallness_fields(g):
+    u = sample(lambda *a: 5.0 + 20.0 * np.cos(0.7 * sum(a[:-1])) * (1.0 - 0.1 * a[-1]), g)
+    f = sample(lambda *a: 30.0 * np.sin(1.3 * a[0] + 0.2) * (1.0 - a[-1]) + 0.5 * a[-2] ** 2, g)
+    return u, f
+
+
+def test_witness_time_levels_put_a_g1_cell_centre_on_the_bottom_face():
+    centres = SMALLNESS_GRIDS[0].t_cell_centers
+    assert np.abs(centres + 1.0).min() < 1e-12
+
+
+@pytest.mark.parametrize("g", SMALLNESS_GRIDS, ids=["1d_witness_times", "2d"])
+@pytest.mark.parametrize("family", ["pparabolic", "pme"])
+def test_smallness_search_equals_full_grid_loop(g, family):
+    u, f = _smallness_fields(g)
+    if family == "pparabolic":
+        res = pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0)
+        ref = _full_grid_search(ScalingKind.PPOISSON_NORMALIZE, dict(p=3.0), None, 3.0,
+                                u, f, 4.0, 4.0)
+    else:
+        res = pme_smallness(u, f, m=2.0, q=10.0, r=10.0)
+        ref = _full_grid_search(ScalingKind.PME_NORMALIZE, dict(a=1.0, m=2.0), 1, math.inf,
+                                u, f, 10.0, 10.0)
+    rho, a, sc, v, f_scaled, v_norm, f_norm, it = ref
+    assert 1 < it <= 60  # a search that moved, not the first candidate
+    assert (res.rho, res.a, res.v_norm, res.f_norm, res.iterations) == (
+        rho, a, v_norm, f_norm, it)
+    assert res.scaling.params == sc.params and res.scaling.kind is sc.kind
+    for got, want in ((res.v, v), (res.f_scaled, f_scaled)):
+        assert got.grid == want.grid and got.provenance == want.provenance
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_smallness_search_rescales_the_full_fields_twice(monkeypatch):
+    u, f = _smallness_fields(SMALLNESS_GRIDS[0])
+    calls = []
+    real = geometry.apply_scaling
+    monkeypatch.setattr(geometry, "apply_scaling",
+                        lambda *args, **kw: calls.append(kw.get("role")) or real(*args, **kw))
+    pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0)
+    pme_smallness(u, f, m=2.0, q=10.0, r=10.0)
+    assert calls == [None, "source"] * 2
+
+
+@pytest.mark.parametrize("g, search", [
+    # the time image (-2 T, -0.5 T) of a contraction T < 1 leaves (-2, -0.5)
+    (GridSpec.one_d(-2.0, 2.0, 41, -2.0, -0.5, 31),
+     lambda u, f: pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0)),
+    # the space image (0.5 S, 3 S) of a contraction S < 1 leaves (0.5, 3)
+    (GridSpec.one_d(0.5, 3.0, 41, -1.0, 0.0, 31),
+     lambda u, f: pme_smallness(u, f, m=2.0, q=10.0, r=10.0)),
+], ids=["pparabolic_time", "pme_space"])
+def test_smallness_search_escaping_grid_raises(g, search):
+    g1 = IntrinsicCylinder((0.0,), 0.0, 1.0, 2.0)
+    g1_cells, _ = _region_cells(sample(expression("zero"), g), g1)
+    assert g1_cells.size > 0
+    u, f = _smallness_fields(g)
+    with pytest.raises(ScaledDomainEscapes):
+        search(u, f)
+
+
+def test_smallness_search_without_g1_cells_raises_before_any_candidate(monkeypatch):
+    g = GridSpec.one_d(2.0, 3.0, 21, -1.0, 0.0, 11)
+    u, f = _smallness_fields(g)
+    calls = []
+    real = geometry.build_scaling
+    monkeypatch.setattr(geometry, "build_scaling",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    with pytest.raises(EmptyIntersection):
+        pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0)
+    assert calls == []
 
 
 # -- range checks -------------------------------------------------------------

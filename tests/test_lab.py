@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from holderlab.errors import (
     AllZeroLevels,
@@ -24,6 +26,7 @@ from holderlab.fields import (
 from holderlab.geometry import ScalingKind, apply_scaling, build_scaling
 from holderlab.lab import (
     OscillationProfile,
+    _golden_best_constant,
     ProfileLevel,
     caccioppoli_check,
     campanato_sequence,
@@ -120,6 +123,49 @@ def test_best_constant_optimality():
 
         assert lv.campanato <= dist(float(vals.mean())) + 1e-12
         assert lv.campanato <= dist(float(np.median(vals))) + 1e-12
+
+
+@pytest.mark.parametrize("size", [4000, 4001])
+def test_best_constant_closed_forms(size):
+    vals = np.random.default_rng(size).lognormal(size=size)
+    c, dist = _golden_best_constant(vals, 2.0)
+    assert c == vals.mean()
+    # mean(|v - c|^2)^(1/2) is the same expression for every p; the power 1/2 can
+    # differ from a correctly rounded square root in the last bit
+    assert dist == float(((vals - vals.mean()) ** 2).mean()) ** 0.5
+    exact = np.sqrt(((vals - vals.mean()) ** 2).mean())
+    assert abs(dist - exact) <= np.spacing(exact)
+    c, dist = _golden_best_constant(vals, 1.0)
+    assert c == np.median(vals)
+    assert dist == float(np.abs(vals - np.median(vals)).mean())
+
+
+def test_profile_best_constant_is_the_cell_mean_for_p2():
+    rng = np.random.default_rng(44)
+    g = g1_grid(241, 61)
+    f = SpaceTimeField(g, rng.lognormal(size=(g.nt, g.nx[0])))
+    prof = oscillation_profile(f, (0.0, 0.0), 2.0, 0.5, 2, base_radius=0.6)
+    from holderlab.fields import _region_cells
+    from holderlab.geometry import make_cylinder
+
+    for lv in prof.levels:
+        vals, _ = _region_cells(f, make_cylinder((0.0, 0.0), lv.radius, 2.0))
+        assert lv.c_k == vals.mean()
+
+
+@given(st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=60), st.sampled_from([1.0, 2.0]))
+def test_closed_form_best_constant_beats_nearby_constants(xs, p):
+    vals = np.array(xs)
+    span = vals.max() - vals.min()
+    assume(span > 1e-6)
+    c, dist = _golden_best_constant(vals, p)
+
+    def distance(c):
+        return float((np.abs(vals - c) ** p).mean()) ** (1.0 / p)
+
+    # for p = 1 the minimum can be flat, where only rounding of the two means differs
+    for nearby in (c - 1e-6 * span, c + 1e-6 * span):
+        assert dist <= distance(nearby) * (1.0 + 32.0 * np.finfo(float).eps)
 
 
 # -- fits ---------------------------------------------------------------------

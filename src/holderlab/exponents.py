@@ -54,14 +54,22 @@ class EquationKind(Enum):
     DOUBLY_NONLINEAR = "doubly_nonlinear"
 
 
+# The family of a doubly nonlinear operator, keyed on (p != 2, m != 1).
+_FAMILY = {
+    (False, False): EquationKind.HEAT,
+    (True, False): EquationKind.P_PARABOLIC,
+    (False, True): EquationKind.PME,
+    (True, True): EquationKind.DOUBLY_NONLINEAR,
+}
+
+
 @dataclass(frozen=True)
 class EquationParams:
     """Equation family plus its structural exponents.
 
-    Exact reductions are normalised to the canonical representative:
-    p-parabolic with p = 2 becomes heat, porous medium with m = 1 becomes
-    heat, doubly nonlinear degenerates to p-parabolic (m = 1), porous
-    medium (p = 2) or heat (both).
+    A requested heat or porous medium pins p = 2, a requested heat or
+    p-parabolic pins m = 1, and the stored kind is then read from (p, m)
+    alone, so every exact reduction becomes its canonical representative.
     """
 
     kind: EquationKind
@@ -70,32 +78,20 @@ class EquationParams:
     m: float = 1.0
 
     def __post_init__(self):
-        kind, p, m = self.kind, float(self.p), float(self.m)
-        if kind is EquationKind.HEAT:
-            p, m = 2.0, 1.0
-        if kind is EquationKind.P_PARABOLIC:
-            m = 1.0
-        if kind is EquationKind.PME:
+        p, m = float(self.p), float(self.m)
+        if self.kind in (EquationKind.HEAT, EquationKind.PME):
             p = 2.0
-        if kind is EquationKind.DOUBLY_NONLINEAR:
-            if m == 1.0 and p == 2.0:
-                kind = EquationKind.HEAT
-            elif m == 1.0:
-                kind = EquationKind.P_PARABOLIC
-            elif p == 2.0:
-                kind = EquationKind.PME
-        if kind is EquationKind.P_PARABOLIC and p == 2.0:
-            kind = EquationKind.HEAT
-        if kind is EquationKind.PME and m == 1.0:
-            kind = EquationKind.HEAT
+        if self.kind in (EquationKind.HEAT, EquationKind.P_PARABOLIC):
+            m = 1.0
+        kind = _FAMILY[p != 2.0, m != 1.0]
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"spatial dimension must be a positive integer, got {self.n}")
-        if kind in (EquationKind.P_PARABOLIC, EquationKind.DOUBLY_NONLINEAR) and not p > 2.0:
+        if p != 2.0 and not p > 2.0:
             raise ValueError(f"{kind.value} requires p > 2, got p={p}")
-        if kind in (EquationKind.PME, EquationKind.DOUBLY_NONLINEAR) and not m > 1.0:
+        if m != 1.0 and not m > 1.0:
             raise ValueError(f"{kind.value} requires m > 1, got m={m}")
 
     @classmethod
@@ -129,14 +125,6 @@ class SourceIntegrability:
         for name, v in (("q", self.q), ("r", self.r)):
             if not (v > 1.0):
                 raise ValueError(f"{name} must lie in (1, inf], got {v}")
-
-    @property
-    def inv_q(self) -> float:
-        return 1.0 / self.q
-
-    @property
-    def inv_r(self) -> float:
-        return 1.0 / self.r
 
 
 class Provenance(Enum):
@@ -260,7 +248,7 @@ def check_admissibility(params: EquationParams, integ: SourceIntegrability) -> A
     returned with its evaluated left-hand side; ``failed_conditions`` lists
     the ones that do not hold.
     """
-    iq, ir = integ.inv_q, integ.inv_r
+    iq, ir = 1.0 / integ.q, 1.0 / integ.r
     n, p = params.n, params.p
     kind = params.kind
 

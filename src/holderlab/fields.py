@@ -164,7 +164,11 @@ class SpaceTimeField:
 
     def interp(self, *coords) -> np.ndarray:
         """Multilinear interpolation; ``coords`` is (x[, y], t) arrays."""
-        return _interp(self, coords[:-1], coords[-1])
+        *xs, ts = coords
+        g = self.grid
+        locs = [_axis_locate(ts, g.t_extent[0], g.dt, g.nt, "t")]
+        locs += [_axis_locate(x, g.x_extent[a][0], g.dx[a], g.nx[a], "x") for a, x in enumerate(xs)]
+        return _lerp(self.values, locs, ())
 
 
 def _axis_index(ndim: int, axis: int, index) -> tuple:
@@ -206,13 +210,6 @@ def _axis_locate(u_coord, lo, h, n, what):
     w = u - idx
     w = np.where(w < span_tol, 0.0, np.where(w > 1.0 - span_tol, 1.0, w))
     return idx, w
-
-
-def _interp(f: SpaceTimeField, xs: tuple, ts) -> np.ndarray:
-    g = f.grid
-    locs = [_axis_locate(ts, g.t_extent[0], g.dt, g.nt, "t")]
-    locs += [_axis_locate(x, g.x_extent[a][0], g.dx[a], g.nx[a], "x") for a, x in enumerate(xs)]
-    return _lerp(f.values, locs, ())
 
 
 def _lerp(values, locs, index):
@@ -278,20 +275,15 @@ def _cell_block(grid: GridSpec, region) -> tuple[tuple, np.ndarray]:
     return tuple(slice(s.start, s.stop + 1) for s in index), mask
 
 
-def _cells_in(values: np.ndarray, grid: GridSpec, region) -> np.ndarray:
-    """Cell-center values of node ``values`` inside ``region``, one row per time slice;
-    averages only the node block one node wider than the region's cell block."""
-    nodes, mask = _cell_block(grid, region)
-    return _cell_average(values[nodes])[:, mask]
-
-
 def _region_cells(field: SpaceTimeField, region):
     """Cell-center values and counts for cells inside ``region``.
 
     Returns (values_2d, n_slices) where values_2d has one row per time
     slice inside the window, flattened spatial cells in the region's mask.
+    Only the node block one node wider than the region's cell block is averaged.
     """
-    flat = _cells_in(field.values, field.grid, region)
+    nodes, mask = _cell_block(field.grid, region)
+    flat = _cell_average(field.values[nodes])[:, mask]
     return flat, flat.shape[0]
 
 

@@ -5,18 +5,17 @@ The scheme is the flux form, one term per axis a with spacing h_a,
     u_j^{k+1} = u_j^k + dt sum_a (F^a_{j+e_a/2} - F^a_{j-e_a/2}) / h_a + dt f_j^k,
     F^a = D(u, grad u) * (u_{j+e_a} - u_j) / h_a   on the faces normal to axis a,
 
-with the diffusivity per equation family: 1 for heat,
-(|grad u|^2 + eps^2)^((p-2)/2) for p-parabolic, m |u_face|^(m-1) for the
-porous medium (no cutoff: the flux vanishes on its own at u = 0), and the
-product of the two for the doubly nonlinear family.  On a face, |grad u|^2
-is the squared normal difference plus, in 2D, the squared central
-difference along the other axis averaged onto the face.  One stepper,
-``_Stepper``, runs this update in every dimension by looping over the axes;
-``residual`` reuses its fluxes and flux differences.  A PERIODIC boundary
-adds the flux through the wrapped face to the first node slab of each axis
-and copies that slab to the last.  Sub-stepping keeps each internal step
-below the CFL bound cfl_safety / (2 D_max sum_a h_a^-2); stored time levels
-are hit exactly.
+with one diffusivity for every family,
+D = m |u_face|^(m-1) (|grad u|^2 + eps^2)^((p-2)/2), less a factor that is
+exactly 1 (at m = 1 or p = 2): heat has D = 1, and the porous medium has no
+cutoff (its flux vanishes on its own at u = 0).  On a face, |grad u|^2 is the
+squared normal difference plus, in 2D, the squared central difference along
+the other axis averaged onto the face.  One stepper, ``_Stepper``, runs this
+update in every dimension by looping over the axes; ``residual`` reuses its
+flux differences.  A PERIODIC boundary adds the flux through the wrapped face
+to the first node slab of each axis and copies that slab to the last.
+Sub-stepping keeps each internal step below the CFL bound
+cfl_safety / (2 D_max sum_a h_a^-2); stored time levels are hit exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BlowUp, GridTooCoarse, OutsideValidity, UnstableConfig
-from .exponents import EquationKind, EquationParams
+from .exponents import EquationParams
 from .fields import GridSpec, SourceTerm, SpaceTimeField, _axis_index, _dist2, _node_gradient, sample
 
 __all__ = [
@@ -110,7 +109,7 @@ class HeatKernel:
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0):
             raise OutsideValidity("heat kernel requires t > 0")
-        r2 = sum(np.asarray(x) ** 2 for x in xs)
+        r2 = _dist2(xs)
         return self.mass * (4.0 * math.pi * t) ** (-self.n / 2.0) * np.exp(-r2 / (4.0 * t))
 
 
@@ -152,7 +151,7 @@ class BarenblattPME:
         t = np.asarray(t, dtype=float)
         if np.any(t <= 0):
             raise OutsideValidity("Barenblatt profile requires t > 0")
-        r2 = sum(np.asarray(x) ** 2 for x in xs)
+        r2 = _dist2(xs)
         core = self.c - self.b * r2 * t ** (-2.0 * self.a / self.n)
         return t ** (-self.a) * np.maximum(core, 0.0) ** (1.0 / (self.m - 1.0))
 
@@ -201,22 +200,15 @@ def stable_dt(grid: GridSpec, field_bound: float, grad_bound: float,
     return _Stepper(params, cfg, grid).step(float(d_max))
 
 
-# The families whose diffusivity reads |grad u|^2; the others get grad2=None.
-_GRAD2_KINDS = (EquationKind.P_PARABOLIC, EquationKind.DOUBLY_NONLINEAR)
-
-
 def _face_diffusivity(params, cfg, u_lo, u_hi, grad2):
-    """D on faces given the two adjacent node values and |grad u|^2 there."""
-    kind, p, m, eps = params.kind, params.p, params.m, cfg.flux_regularization_eps
-    if kind is EquationKind.HEAT:
-        return np.ones_like(u_lo)
-    if kind is EquationKind.P_PARABOLIC:
-        return (grad2 + eps**2) ** ((p - 2.0) / 2.0)
-    u_face = 0.5 * (u_lo + u_hi)
-    amp = m * np.abs(u_face) ** (m - 1.0)
-    if kind is EquationKind.PME:
-        return amp
-    return amp * (grad2 + eps**2) ** ((p - 2.0) / 2.0)
+    """D on faces given the two adjacent node values and |grad u|^2 there; a
+    factor that is exactly 1 is not computed, and ``grad2`` is read only for p != 2."""
+    p, m, eps = params.p, params.m, cfg.flux_regularization_eps
+    amp = m * np.abs(0.5 * (u_lo + u_hi)) ** (m - 1.0) if m != 1.0 else None
+    if p == 2.0:
+        return np.ones_like(u_lo) if amp is None else amp
+    grad_factor = (grad2 + eps**2) ** ((p - 2.0) / 2.0)
+    return grad_factor if amp is None else amp * grad_factor
 
 
 class _Stepper:
@@ -234,7 +226,7 @@ class _Stepper:
         self.inv_h2 = sum(1.0 / h**2 for h in grid.dx)
         self.fallback_dt = cfg.cfl_safety * min(grid.dx) ** 2
         self.periodic = cfg.boundary is Boundary.PERIODIC
-        self.needs_grad2 = params.kind in _GRAD2_KINDS
+        self.needs_grad2 = params.p != 2.0
         self.tangential = self.needs_grad2 and grid.dim == 2
         self.axes = [
             tuple(_axis_index(grid.dim, a, i) for i in
@@ -243,14 +235,15 @@ class _Stepper:
         ]
 
     def fluxes(self, u):
-        """The face fluxes D * grad u of each axis; for each axis the pair
-        ``(inner, (F_hi - F_lo) / h)``, its flux difference on the nodes
-        between two faces; and the largest face D."""
+        """The flux differences of F = D * grad u as ``(index, difference)`` pairs,
+        and the largest face D: each axis' ``(inner, (F_hi - F_lo) / h)`` on the nodes
+        between two faces, then, on a PERIODIC boundary, each axis' wrapped-face flux
+        into its first slab, ``(first, (F[first] - F[last]) / h)``."""
         if self.tangential:
             # |grad u|^2 on a face adds the other axis' node gradient, averaged onto it
             other = [_node_gradient(u, ax[-1], a) for a, ax in enumerate(self.axes)][::-1]
-        fluxes, diffs, d_max = [], [], []
-        for a, (lo, hi, inner, _, _, h) in enumerate(self.axes):
+        diffs, wraps, d_max = [], [], []
+        for a, (lo, hi, inner, first, last, h) in enumerate(self.axes):
             grad = (u[hi] - u[lo]) / h
             grad2 = None
             if self.needs_grad2:
@@ -260,9 +253,10 @@ class _Stepper:
             d = _face_diffusivity(self.params, self.cfg, u[lo], u[hi], grad2)
             d_max.append(float(d.max()))
             flux = np.multiply(d, grad, out=d)
-            fluxes.append(flux)
             diffs.append((inner, (flux[hi] - flux[lo]) / h))
-        return fluxes, diffs, max(d_max)
+            if self.periodic:
+                wraps.append((first, (flux[first] - flux[last]) / h))
+        return diffs + wraps, max(d_max)
 
     def step(self, d_max):
         """The CFL step for largest face diffusivity ``d_max``."""
@@ -270,15 +264,11 @@ class _Stepper:
             return self.fallback_dt
         return self.cfg.cfl_safety / (2.0 * d_max * self.inv_h2)
 
-    def apply(self, u, dt, fluxes, diffs, f_nodes):
+    def apply(self, u, dt, diffs, f_nodes):
         """u after one step dt of the scheme, from ``fluxes(u)``, before the boundary."""
         out = u.copy()
-        for inner, diff in diffs:
-            out[inner] += dt * diff
-        if self.periodic:
-            # the first slab also takes the flux through the wrapped face
-            for f, (_, _, _, first, last, h) in zip(fluxes, self.axes):
-                out[first] += dt * ((f[first] - f[last]) / h)
+        for index, diff in diffs:
+            out[index] += dt * diff
         if f_nodes is not None:
             out += dt * f_nodes  # edge values are reset by the boundary condition
         if self.periodic:
@@ -363,12 +353,12 @@ def solve(
     for level in range(1, grid.nt):
         t_target = grid.t_nodes[level]
         while t < t_target - 1e-13 * max(1.0, abs(t_target)):
-            fluxes, diffs, d_max = stepper.fluxes(u)
+            diffs, d_max = stepper.fluxes(u)
             if not math.isfinite(d_max):
                 raise BlowUp(steps, t)
             dt = min(stepper.step(d_max), t_target - t)
             f_nodes = source.eval_nodes(grid, t) if source is not None else None
-            u = stepper.apply(u, dt, fluxes, diffs, f_nodes)
+            u = stepper.apply(u, dt, diffs, f_nodes)
             t += dt
             u = set_bc(u, t)
             steps += 1
@@ -407,10 +397,10 @@ def residual(field: SpaceTimeField, params: EquationParams,
     for k in range(1, g.nt - 1):
         u = field.values[k]
         u_t = (field.values[k + 1] - field.values[k - 1]) / (2.0 * g.dt)
-        _, diffs, _ = stepper.fluxes(u)
+        diffs, _ = stepper.fluxes(u)
         div = np.zeros_like(u)
-        for inner, diff in diffs:
-            div[inner] += diff
+        for index, diff in diffs:  # the wrapped-face terms land on edge slabs, outside core
+            div[index] += diff
         defect = u_t[core] - div[core]
         if source is not None:
             defect = defect - source.eval_nodes(g, g.t_nodes[k])[core]

@@ -401,3 +401,26 @@ def test_equation_params_validation():
     assert EquationParams(EquationKind.DOUBLY_NONLINEAR, 1, p=3.0, m=1.0).kind is EquationKind.P_PARABOLIC
     assert EquationParams(EquationKind.DOUBLY_NONLINEAR, 1, p=2.0, m=2.0).kind is EquationKind.PME
     assert EquationParams(EquationKind.DOUBLY_NONLINEAR, 1, p=2.0, m=1.0).kind is EquationKind.HEAT
+
+
+@pytest.mark.parametrize("kind", list(EquationKind))
+@pytest.mark.parametrize("p", [2.0, 1.5, 3.0, math.nan])
+@pytest.mark.parametrize("m", [1.0, 0.5, 2.0, math.nan])
+def test_family_is_read_from_the_pinned_exponents(kind, p, m):
+    """Heat and PME pin p = 2, heat and p-parabolic pin m = 1; the kind then follows
+    (p != 2, m != 1) alone, and an exponent below its range (or NaN) raises naming it."""
+    pinned_p = 2.0 if kind in (EquationKind.HEAT, EquationKind.PME) else p
+    pinned_m = 1.0 if kind in (EquationKind.HEAT, EquationKind.P_PARABOLIC) else m
+    family = {
+        (False, False): EquationKind.HEAT,
+        (True, False): EquationKind.P_PARABOLIC,
+        (False, True): EquationKind.PME,
+        (True, True): EquationKind.DOUBLY_NONLINEAR,
+    }[pinned_p != 2.0, pinned_m != 1.0]
+    in_range = (pinned_p == 2.0 or pinned_p > 2.0) and (pinned_m == 1.0 or pinned_m > 1.0)
+    if not in_range:
+        with pytest.raises(ValueError, match=f"^{family.value} requires"):
+            EquationParams(kind, 1, p=p, m=m)
+        return
+    params = EquationParams(kind, 1, p=p, m=m)
+    assert (params.kind, params.p, params.m) == (family, pinned_p, pinned_m)

@@ -12,6 +12,7 @@ from holderlab.errors import (
     InvalidScaleParameter,
     NonPositiveRadius,
     ScaledDomainEscapes,
+    SmallnessSearchFailed,
 )
 from holderlab.exponents import EquationParams
 from holderlab.fields import (
@@ -465,6 +466,27 @@ def test_smallness_search_without_g1_cells_raises_before_any_candidate(monkeypat
     with pytest.raises(EmptyIntersection):
         pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0)
     assert calls == []
+
+
+def test_pme_smallness_without_a_positive_exponent_raises_before_any_candidate(monkeypatch):
+    # m = 2, n = 2, q = 1, r = 1.01: the exponent is 1.02 - 2a, so -0.98, -2.98, ...
+    assert [geometry.pme_smallness_exponent(2.0, a, 2, 1.0, 1.01) for a in (1.0, 2.0)] == \
+        pytest.approx([-0.98, -2.98], abs=1e-12)
+    u, f = _smallness_fields(GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 11, 11, -1.0, 0.0, 6))
+    calls = []
+    real = geometry.build_scaling
+    monkeypatch.setattr(geometry, "build_scaling",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    with pytest.raises(SmallnessSearchFailed, match="no integer a <= 64"):
+        pme_smallness(u, f, m=2.0, q=1.0, r=1.01)
+    assert calls == []
+
+
+def test_pparabolic_smallness_with_zero_epsilon_fails_after_max_iter():
+    # a nonzero source has a positive norm at every rho, so no candidate is feasible
+    u, f = _smallness_fields(g1_grid(41, 21))
+    with pytest.raises(SmallnessSearchFailed, match="after 60 bisection steps"):
+        pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0, epsilon=0.0)
 
 
 # -- range checks -------------------------------------------------------------

@@ -20,6 +20,8 @@ from holderlab.fields import (
     Rectangle,
     SourceTerm,
     SpaceTimeField,
+    _cell_average,
+    _node_gradient,
     expression,
     sample,
 )
@@ -430,6 +432,50 @@ def test_caccioppoli_2d_with_source_matches_whole_field_numbers(m, terms):
     got = (rep.lhs_sup_term, rep.lhs_grad_term, rep.rhs_time_term, rep.rhs_space_term,
            rep.rhs_source_term)
     assert got == pytest.approx(terms, rel=1e-12)
+
+
+def _caccioppoli_whole_field(field, cutoff, m, region):
+    """The four energy terms from products and cell averages over the whole grid."""
+    g = field.grid
+    u, xi = field.values, sample(cutoff, g).values
+    grad_u2 = sum(_node_gradient(u, g.dx[a], a + 1) ** 2 for a in range(g.dim))
+    grad_xi2 = sum(_node_gradient(xi, g.dx[a], a + 1) ** 2 for a in range(g.dim))
+    xi_t = _node_gradient(xi, g.dt, 0)
+    t0, t1 = region.time_window()
+    rows = (g.t_cell_centers >= t0) & (g.t_cell_centers <= t1)
+    mask = region.space_mask(*g.cell_mesh())
+
+    def restrict(node_arr):
+        return _cell_average(node_arr)[rows][:, mask]
+
+    return (float(restrict(u**2 * xi**2).sum(axis=1).max() * g.space_cell_volume),
+            float(restrict(np.abs(u) ** (m - 1.0) * grad_u2 * xi**2).sum() * g.cell_volume),
+            float(restrict(u**2 * xi * np.abs(xi_t)).sum() * g.cell_volume),
+            float(restrict(np.abs(u) ** (m + 1.0) * (grad_xi2 + xi**2)).sum() * g.cell_volume))
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("corner", ["low", "last_level"])
+def test_caccioppoli_region_block_equals_whole_field(m, dim, corner):
+    """Regions on the grid's low corner or its last time level, where the derivatives
+    are one-sided, give the whole-field numbers bitwise."""
+    if dim == 1:
+        g = GridSpec.one_d(-1.0, 1.0, 81, -1.0, 0.0, 41)
+        u = sample(lambda x, t: np.cos(2.0 * x) * (1.5 + t) + 0.3 * np.sin(5.0 * x * t), g)
+    else:
+        g = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 31, 27, -1.0, 0.0, 21)
+        u = sample(lambda x, y, t: np.cos(2.0 * x) * np.sin(y + 1.0) * (1.5 + t) - 0.2 * x * y, g)
+    if corner == "low":
+        x_ext, t_ext = ((-1.0, 0.37), (-1.0, 0.21))[:dim], (-1.0, -0.43)
+    else:
+        x_ext, t_ext = ((-0.29, 1.0), (0.13, 1.0))[:dim], (-0.52, 0.0)
+    region = Rectangle(x_ext, t_ext)
+    cutoff = expression("bump", x_support=x_ext, t_support=t_ext)
+    rep = caccioppoli_check(u, cutoff, None, m, region)
+    got = (rep.lhs_sup_term, rep.lhs_grad_term, rep.rhs_time_term, rep.rhs_space_term)
+    assert got == _caccioppoli_whole_field(u, cutoff, m, region)
+    assert min(got) > 0.0
 
 
 def test_caccioppoli_cutoff_not_compact():

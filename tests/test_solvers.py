@@ -173,6 +173,35 @@ def test_face_diffusivity_exact_reductions():
     assert np.array_equal(got, np.ones(3))
 
 
+@pytest.mark.parametrize("params", [
+    EquationParams.heat(1),
+    EquationParams.p_parabolic(3.0, 1),
+    EquationParams.pme(2.0, 1),
+    EquationParams.doubly_nonlinear(3.0, 2.0, 1),
+], ids=lambda params: params.kind.value)
+def test_face_diffusivity_is_the_one_closed_form(params):
+    """D = m |u_face|^(m-1) (|grad u|^2 + eps^2)^((p-2)/2), bitwise, with a factor
+    that is exactly 1 left out."""
+    from holderlab.solvers import _face_diffusivity
+
+    rng = np.random.default_rng(11)
+    u_lo, u_hi = rng.uniform(-1.0, 2.0, (2, 64))
+    grad2 = rng.uniform(0.0, 3.0, 64)
+    eps, p, m = 1e-3, params.p, params.m
+    cfg = SolverConfig(flux_regularization_eps=eps)
+    amp = m * np.abs(0.5 * (u_lo + u_hi)) ** (m - 1.0)
+    grad_factor = (grad2 + eps**2) ** ((p - 2.0) / 2.0)
+    want = {
+        EquationKind.HEAT: np.ones(64),
+        EquationKind.P_PARABOLIC: grad_factor,
+        EquationKind.PME: amp,
+        EquationKind.DOUBLY_NONLINEAR: amp * grad_factor,
+    }[params.kind]
+    assert _face_diffusivity(params, cfg, u_lo, u_hi, grad2).tobytes() == want.tobytes()
+    if p == 2.0:  # |grad u|^2 is read only for p != 2
+        assert _face_diffusivity(params, cfg, u_lo, u_hi, None).tobytes() == want.tobytes()
+
+
 def test_conservation_periodic():
     g = GridSpec.one_d(-1.0, 1.0, 101, 0.0, 0.02, 11)
     init = 1.0 + 0.5 * np.cos(np.pi * g.x_nodes(0))

@@ -69,7 +69,8 @@ class EquationParams:
 
     A requested heat or porous medium pins p = 2, a requested heat or
     p-parabolic pins m = 1, and the stored kind is then read from (p, m)
-    alone, so every exact reduction becomes its canonical representative.
+    alone, so every exact reduction becomes its canonical representative.  A
+    ``kind`` that names no member raises ``ValueError``.
     """
 
     kind: EquationKind
@@ -78,10 +79,10 @@ class EquationParams:
     m: float = 1.0
 
     def __post_init__(self):
-        p, m = float(self.p), float(self.m)
-        if self.kind in (EquationKind.HEAT, EquationKind.PME):
+        requested, p, m = EquationKind(self.kind), float(self.p), float(self.m)
+        if requested in (EquationKind.HEAT, EquationKind.PME):
             p = 2.0
-        if self.kind in (EquationKind.HEAT, EquationKind.P_PARABOLIC):
+        if requested in (EquationKind.HEAT, EquationKind.P_PARABOLIC):
             m = 1.0
         kind = _FAMILY[p != 2.0, m != 1.0]
         object.__setattr__(self, "kind", kind)

@@ -264,15 +264,15 @@ def _region_box(t: np.ndarray, mesh: tuple, region) -> tuple[tuple, np.ndarray] 
     return (slice(rows[0], rows[-1] + 1), *space), mask[space]
 
 
-def _cell_block(grid: GridSpec, region) -> tuple[tuple, np.ndarray]:
+def _cell_reader(grid: GridSpec, region) -> tuple[tuple, Callable[[np.ndarray], np.ndarray]]:
     """Index of the node block one node wider than ``region``'s cell block, and the
-    region's cell mask in that block's cells; raises ``EmptyIntersection`` for a
-    region without cells."""
+    function that maps node values on that block to the region's cell values, one row
+    per time slice; raises ``EmptyIntersection`` for a region without cells."""
     box = _region_box(grid.t_cell_centers, grid.cell_mesh(), region)
     if box is None:
         raise EmptyIntersection("no cells inside region")
     index, mask = box
-    return tuple(slice(s.start, s.stop + 1) for s in index), mask
+    return tuple(slice(s.start, s.stop + 1) for s in index), lambda nodes: _cell_average(nodes)[:, mask]
 
 
 def _region_cells(field: SpaceTimeField, region):
@@ -282,8 +282,8 @@ def _region_cells(field: SpaceTimeField, region):
     slice inside the window, flattened spatial cells in the region's mask.
     Only the node block one node wider than the region's cell block is averaged.
     """
-    nodes, mask = _cell_block(field.grid, region)
-    flat = _cell_average(field.values[nodes])[:, mask]
+    nodes, cells = _cell_reader(field.grid, region)
+    flat = cells(field.values[nodes])
     return flat, flat.shape[0]
 
 

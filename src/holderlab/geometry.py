@@ -32,8 +32,7 @@ from .errors import (
 from .fields import (
     GridSpec,
     SpaceTimeField,
-    _cell_average,
-    _cell_block,
+    _cell_reader,
     _dist2,
     _region_box,
     _region_cells,
@@ -380,13 +379,13 @@ def _g1_reader(field: SpaceTimeField, g1: IntrinsicCylinder):
     field.  It samples only the node block that the cell reads of G1 use, after the
     full grid's escape check of ``apply_scaling``."""
     g = field.grid
-    (t_nodes, *space), mask = _cell_block(g, g1)
+    (t_nodes, *space), g1_cells = _cell_reader(g, g1)
     mesh = tuple(x[tuple(space)] for x in g.node_mesh())
     t = g.t_nodes[t_nodes]
 
     def cells(sc: AnisotropicScaling, factor: float) -> np.ndarray:
         _require_image_inside(g, sc, g)
-        return _cell_average(_sample_scaled(field, sc, factor, mesh, t))[:, mask]
+        return g1_cells(_sample_scaled(field, sc, factor, mesh, t))
 
     return cells
 

@@ -21,8 +21,8 @@ from .errors import (
     EmptyIntersection,
     InsufficientLevels,
 )
-from .fields import (SourceTerm, SpaceTimeField, _cell_average, _cell_block, _node_gradient,
-                     _region_cells, interpolate_eval, sample)
+from .fields import (SourceTerm, SpaceTimeField, _cell_reader, _node_gradient, _region_cells,
+                     interpolate_eval, sample)
 from .geometry import lqr_norm, make_cylinder, sup_oscillation
 
 __all__ = [
@@ -245,7 +245,7 @@ class CampanatoReport:
     diffs: tuple[float, ...]          # |c_k - c_{k+1}|
     c_limit: float                    # deepest available constant
     decay: HolderFit | None           # geometric decay rate of the diffs
-    degenerate: bool                  # all diffs at the zero floor
+    degenerate: bool                  # fewer than 3 diffs above the zero floor
     distance_bounds: tuple[float, ...]  # ||u - c_limit|| upper bounds per level
     constant: float | None            # smallest C with bound_k <= C r_k^rate
     inequality_holds: bool | None
@@ -265,15 +265,12 @@ def campanato_sequence(profile: OscillationProfile) -> CampanatoReport:
     diffs = np.abs(np.diff(cs))
     c_limit = float(cs[-1])
     keep = diffs > ZERO_FLOOR
-    degenerate = not keep.any()
+    degenerate = int(keep.sum()) < 3
     decay = None
     if not degenerate:
-        if keep.sum() >= 3:
-            decay = _loglog_fit(radii[:-1][keep], diffs[keep],
-                                (profile.levels[0].k, profile.levels[-2].k),
-                                int((~keep).sum()))
-        else:
-            degenerate = True
+        decay = _loglog_fit(radii[:-1][keep], diffs[keep],
+                            (profile.levels[0].k, profile.levels[-2].k),
+                            int((~keep).sum()))
     dist_bounds = np.array([lv.campanato for lv in profile.levels]) + np.abs(cs - c_limit)
     constant = None
     holds = None
@@ -405,24 +402,21 @@ def caccioppoli_check(
     if reach > 1e-12:
         raise CutoffNotCompact(f"cutoff reaches {reach:.3g} on the region boundary")
 
-    # derivatives on the whole grid, so the region's edge nodes keep central differences;
-    # the products are formed on the node block of the region's cells only
-    nodes, mask = _cell_block(g, region)
-    u = field.values
-    grad_u2 = sum(_node_gradient(u, g.dx[a], a + 1) ** 2 for a in range(g.dim))[nodes]
-    grad_xi2 = sum(_node_gradient(xi, g.dx[a], a + 1) ** 2 for a in range(g.dim))[nodes]
-    xi_t = _node_gradient(xi, g.dt, 0)[nodes]
-    u, xi = u[nodes], xi[nodes]
+    # derivatives on the region's node block widened by one node where the grid allows,
+    # so every block node keeps the whole grid's central or one-sided difference
+    nodes, cells = _cell_reader(g, region)
+    wide = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in nodes)
+    block = tuple(slice(s.start - w.start, s.stop - w.start) for s, w in zip(nodes, wide))
+    u, xi = field.values[wide], xi[wide]
+    grad_u2 = sum(_node_gradient(u, g.dx[a], a + 1) ** 2 for a in range(g.dim))[block]
+    grad_xi2 = sum(_node_gradient(xi, g.dx[a], a + 1) ** 2 for a in range(g.dim))[block]
+    xi_t = _node_gradient(xi, g.dt, 0)[block]
+    u, xi = u[block], xi[block]
 
-    def restrict(node_arr):
-        return _cell_average(node_arr)[:, mask]
-
-    u2xi2 = restrict(u**2 * xi**2)
-    lhs_sup = float(u2xi2.sum(axis=1).max() * g.space_cell_volume)
-    lhs_grad = float(restrict(np.abs(u) ** (m - 1.0) * grad_u2 * xi**2).sum() * g.cell_volume)
-    rhs_time = float(restrict(u**2 * xi * np.abs(xi_t)).sum() * g.cell_volume)
-    rhs_space = float(restrict(np.abs(u) ** (m + 1.0) * (grad_xi2 + xi**2)).sum()
-                      * g.cell_volume)
+    lhs_sup = float(cells(u**2 * xi**2).sum(axis=1).max() * g.space_cell_volume)
+    lhs_grad = float(cells(np.abs(u) ** (m - 1.0) * grad_u2 * xi**2).sum() * g.cell_volume)
+    rhs_time = float(cells(u**2 * xi * np.abs(xi_t)).sum() * g.cell_volume)
+    rhs_space = float(cells(np.abs(u) ** (m + 1.0) * (grad_xi2 + xi**2)).sum() * g.cell_volume)
     rhs_source = 0.0
     if source is not None:
         f_field = source.as_field(g)

@@ -424,3 +424,24 @@ def test_family_is_read_from_the_pinned_exponents(kind, p, m):
         return
     params = EquationParams(kind, 1, p=p, m=m)
     assert (params.kind, params.p, params.m) == (family, pinned_p, pinned_m)
+
+
+@pytest.mark.parametrize("kind, p, m, family", [
+    ("heat", 2.0, 1.0, EquationKind.HEAT),
+    ("pme", 2.0, 2.0, EquationKind.PME),
+    ("p_parabolic", 3.0, 1.0, EquationKind.P_PARABOLIC),
+    ("doubly_nonlinear", 3.0, 2.0, EquationKind.DOUBLY_NONLINEAR),
+])
+def test_kind_given_by_value_pins_its_exponents(kind, p, m, family):
+    params = EquationParams(kind, 1, p=3.0, m=2.0)
+    assert (params.kind, params.p, params.m) == (family, p, m)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: EquationParams(None, 1, p=3.0, m=2.0), "EquationKind"),
+    (lambda: EquationParams("bogus", 1, p=3.0, m=2.0), "EquationKind"),
+    (lambda: p_monotonicity_sign(1, INF, 2.0), "q must be finite"),
+], ids=["kind_none", "kind_bogus", "monotonicity_infinite_q"])
+def test_exponents_reject_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -446,3 +446,35 @@ def test_region_read_allocates_only_its_block():
         tracemalloc.stop()
     assert peak < f.values.nbytes / 4
     assert retained < 4096  # bookkeeping only; the field's bytes are 2.57 MB
+
+
+def _tiny_grid():
+    return GridSpec.one_d(0.0, 1.0, 3, 0.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: GridSpec(3, ((0.0, 1.0),) * 3, (3, 3, 3), (0.0, 1.0), 2), ValueError, "dimension"),
+    (lambda: GridSpec.one_d(0.0, 1.0, 3, 1.0, 1.0, 2), ValueError, "empty time extent"),
+    (lambda: SpaceTimeField(_tiny_grid(), np.zeros((3, 2))), ValueError, "shape"),
+    (lambda: SpaceTimeField(_tiny_grid(), np.full((2, 3), np.nan)), ValueError, "non-finite"),
+    (lambda: rough_power_cap(1.0, 0.1), ValueError, "sigma"),
+    (lambda: expression("bogus"), KeyError, "unknown expression"),
+], ids=["grid_dim_3", "grid_empty_time", "field_shape", "field_nan", "cap_sigma_1", "unknown_expression"])
+def test_fields_reject_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("io", [
+    lambda f, d: save_field(f, d),
+    lambda f, d: export_csv(f, d),
+    lambda f, d: load_field(d / "missing.hlf"),
+], ids=["save_to_directory", "csv_to_directory", "load_missing"])
+def test_os_errors_raise_io_failure(tmp_path, io):
+    with pytest.raises(IoFailure):
+        io(sample(expression("zero"), _tiny_grid()), tmp_path)
+
+
+def test_source_term_of_a_field_is_that_field():
+    f = sample(expression("zero"), _tiny_grid())
+    assert SourceTerm(f).as_field(_tiny_grid()) is f

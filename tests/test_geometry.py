@@ -591,3 +591,20 @@ def test_sup_oscillation_equals_whole_field_reference(g):
             want = (vmax - vmin, max(abs(vmax), abs(vmin)))
         assert sup_oscillation(f, cyl) == want
     assert len(cylinders) >= 24 and empty >= 1
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: apply_scaling(_unit_field(), build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0),
+                           role="bogus"), ValueError, "role"),
+    (lambda: AnisotropicScaling(ScalingKind.PME_ZOOM, 1.0, 0.0, 1.0, 1.0, {}), InvalidScaleParameter,
+     "time_factor"),
+], ids=["apply_scaling_role", "zero_time_factor"])
+def test_scalings_reject_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_pme_smallness_exponent_at_infinite_r_is_the_limit_over_r():
+    assert geometry.pme_smallness_exponent(2.0, 1.0, 1, 4.0, math.inf) == 3.75
+    r = 1e9
+    assert geometry.pme_smallness_exponent(2.0, 1.0, 1, 4.0, r) / r == pytest.approx(3.75, rel=1e-8)

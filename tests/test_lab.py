@@ -1,6 +1,8 @@
 """Oscillation ladders, exponent fits, Campanato sequences, Caccioppoli."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,3 +486,54 @@ def test_caccioppoli_cutoff_not_compact():
     wide_bump = expression("bump", x_support=((-0.9, 0.9),), t_support=(-0.95, -0.05))
     with pytest.raises(CutoffNotCompact):
         caccioppoli_check(f, wide_bump, None, 2.0, region)
+
+
+@pytest.mark.parametrize("n_nonzero", [0, 1, 2, 3])
+def test_campanato_is_degenerate_below_three_nonzero_differences(n_nonzero):
+    """With fewer than 3 differences above the zero floor there is no decay fit,
+    so neither the rate nor the constant is reported."""
+    prof = synthetic_profile(0.5)
+    c_k = np.concatenate([[0.0], np.cumsum(0.5 ** np.arange(6) * (np.arange(6) < n_nonzero))])
+    prof = dataclasses.replace(prof, levels=tuple(
+        dataclasses.replace(lv, c_k=float(c)) for lv, c in zip(prof.levels, c_k)))
+    rep = campanato_sequence(prof)
+    assert sum(d > 0.0 for d in rep.diffs) == n_nonzero
+    assert rep.degenerate is (n_nonzero < 3)
+    assert (rep.decay is None, rep.constant is None) == (rep.degenerate, rep.degenerate)
+
+
+def _constant_field():
+    return sample(expression("constant", value=1.0), g1_grid(201, 101))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: oscillation_profile(_constant_field(), (0.0, 0.0), 2.0, 0.5, 3, base_radius=0.004),
+     EmptyIntersection, "no cells"),
+    (lambda: oscillation_profile(_constant_field(), (0.0, 0.0), 2.0, 0.5, -1), ValueError, "k_max"),
+    (lambda: oscillation_profile(_constant_field(), (0.0, 0.0), 2.0, 0.5, 3).series("bogus"),
+     ValueError, "unknown quantity"),
+    (lambda: caccioppoli_check(_constant_field(), lambda x, t: 1.5 * region_and_bump()[1](x, t),
+                               None, 2.0, region_and_bump()[0]), ValueError, "cutoff values"),
+], ids=["base_cylinder_without_cells", "negative_k_max", "unknown_series", "cutoff_above_1"])
+def test_lab_rejects_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_caccioppoli_allocates_about_one_field():
+    """A check on a region holding about 1% of a large field differentiates only the
+    region's block: its peak is the cutoff's whole-grid sample, which the range check
+    reads, not five whole-grid arrays."""
+    g = GridSpec.one_d(-4.0, 4.0, 801, -16.0, 0.0, 401)
+    region = Rectangle.one_d(-0.4, 0.4, -2.0, -0.4)
+    cutoff = expression("bump", x_support=region.x_extent, t_support=region.t_extent)
+    rng = np.random.default_rng(5)
+    caccioppoli_check(SpaceTimeField(g, rng.normal(size=(g.nt, *g.nx))), cutoff, None, 2.0, region)
+    f = SpaceTimeField(g, rng.normal(size=(g.nt, *g.nx)))
+    tracemalloc.start()
+    try:
+        caccioppoli_check(f, cutoff, None, 2.0, region)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * f.values.nbytes

@@ -435,3 +435,15 @@ def test_two_d_oracle_dirichlet_edges_equal_oracle():
                  (slice(None), slice(None), -1)):
         assert np.any(exact.values[edge] > 0.0)
         assert np.array_equal(got.values[edge], exact.values[edge])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: SolverConfig(cfl_safety=0.0), ValueError, "cfl_safety"),
+    (lambda: solve(EquationParams.heat(1), None, np.zeros(5), heat_grid(11)), ValueError, "init shape"),
+    (lambda: solve(EquationParams.heat(1), None, np.zeros(11), heat_grid(11),
+                   SolverConfig(boundary=Boundary.DIRICHLET_FROM_ORACLE)), ValueError, "reference solution"),
+    (lambda: BarenblattPME(m=2.0, n=1, mass=1.0).free_boundary_radius(0.0), OutsideValidity, "t > 0"),
+], ids=["cfl_safety_0", "init_shape", "oracle_boundary_without_oracle", "free_boundary_at_t_0"])
+def test_solvers_reject_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -1,0 +1,53 @@
+"""Code that nothing uses gets deleted: every import is used, every private name is read."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "holderlab"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names_read(node) -> set[str]:
+    """Names and attributes read anywhere under ``node``, and names imported by it."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _defined(stmt) -> list[str]:
+    """Names a module-level statement binds by definition or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_import_is_used(module):
+    tree = MODULES[module]
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                and getattr(stmt, "module", None) != "__future__"
+                for alias in stmt.names}
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    assert sorted(imported - used) == []
+
+
+# (statement, names it reads) for every module-level statement of every module
+READS = [(stmt, _names_read(stmt)) for tree in MODULES.values() for stmt in tree.body]
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_private_name_is_read_outside_its_definition(module):
+    unused = [name for stmt in MODULES[module].body for name in _defined(stmt)
+              if name.startswith("_") and not name.startswith("__")
+              and not any(name in reads for other, reads in READS if other is not stmt)]
+    assert unused == []

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -131,15 +132,15 @@ class BarenblattPME:
         if not self.m > 1.0:
             raise ValueError("Barenblatt profile requires m > 1")
 
-    @property
+    @cached_property
     def a(self) -> float:
         return self.n / (self.n * (self.m - 1.0) + 2.0)
 
-    @property
+    @cached_property
     def b(self) -> float:
         return self.a * (self.m - 1.0) / (2.0 * self.m * self.n)
 
-    @property
+    @cached_property
     def c(self) -> float:
         s = 1.0 / (self.m - 1.0)
         # integral of (1 - |z|^2)_+^s over R^n is pi^(n/2) G(s+1) / G(s+1+n/2)
@@ -152,8 +153,10 @@ class BarenblattPME:
         if np.any(t <= 0):
             raise OutsideValidity("Barenblatt profile requires t > 0")
         r2 = _dist2(xs)
-        core = self.c - self.b * r2 * t ** (-2.0 * self.a / self.n)
-        return t ** (-self.a) * np.maximum(core, 0.0) ** (1.0 / (self.m - 1.0))
+        core = np.maximum(self.c - self.b * r2 * t ** (-2.0 * self.a / self.n), 0.0)
+        if self.m != 2.0:  # x ** 1.0 is x exactly; skip the pow pass
+            core **= 1.0 / (self.m - 1.0)
+        return t ** (-self.a) * core
 
     def free_boundary_radius(self, t: float) -> float:
         if t <= 0:
@@ -204,11 +207,20 @@ def _face_diffusivity(params, cfg, u_lo, u_hi, grad2):
     """D on faces given the two adjacent node values and |grad u|^2 there; a
     factor that is exactly 1 is not computed, and ``grad2`` is read only for p != 2."""
     p, m, eps = params.p, params.m, cfg.flux_regularization_eps
-    amp = m * np.abs(0.5 * (u_lo + u_hi)) ** (m - 1.0) if m != 1.0 else None
+    amp = None
+    if m != 1.0:  # every operation below is in place on the first fresh array
+        amp = np.abs(0.5 * (u_lo + u_hi))
+        if m != 2.0:  # x ** 1.0 is x exactly; skip the pow pass
+            amp **= m - 1.0
+        amp *= m
     if p == 2.0:
         return np.ones_like(u_lo) if amp is None else amp
-    grad_factor = (grad2 + eps**2) ** ((p - 2.0) / 2.0)
-    return grad_factor if amp is None else amp * grad_factor
+    grad_factor = grad2 + eps**2
+    grad_factor **= (p - 2.0) / 2.0
+    if amp is None:
+        return grad_factor
+    amp *= grad_factor
+    return amp
 
 
 class _Stepper:
@@ -238,22 +250,27 @@ class _Stepper:
         """The flux differences of F = D * grad u as ``(index, difference)`` pairs,
         and the largest face D: each axis' ``(inner, (F_hi - F_lo) / h)`` on the nodes
         between two faces, then, on a PERIODIC boundary, each axis' wrapped-face flux
-        into its first slab, ``(first, (F[first] - F[last]) / h)``."""
+        into its first slab, ``(first, (F[first] - F[last]) / h)``. The differences
+        are fresh arrays owned by the caller; ``apply`` scales them by dt in place."""
         if self.tangential:
             # |grad u|^2 on a face adds the other axis' node gradient, averaged onto it
             other = [_node_gradient(u, ax[-1], a) for a, ax in enumerate(self.axes)][::-1]
         diffs, wraps, d_max = [], [], []
         for a, (lo, hi, inner, first, last, h) in enumerate(self.axes):
-            grad = (u[hi] - u[lo]) / h
+            u_lo, u_hi = u[lo], u[hi]
+            grad = u_hi - u_lo
+            grad /= h
             grad2 = None
             if self.needs_grad2:
                 grad2 = grad * grad
                 if self.tangential:
-                    grad2 = grad2 + (0.5 * (other[a][hi] + other[a][lo])) ** 2
-            d = _face_diffusivity(self.params, self.cfg, u[lo], u[hi], grad2)
-            d_max.append(float(d.max()))
-            flux = np.multiply(d, grad, out=d)
-            diffs.append((inner, (flux[hi] - flux[lo]) / h))
+                    grad2 += (0.5 * (other[a][hi] + other[a][lo])) ** 2
+            flux = _face_diffusivity(self.params, self.cfg, u_lo, u_hi, grad2)
+            d_max.append(float(flux.max()))  # NaN if any face D is NaN
+            flux *= grad
+            diff = flux[hi] - flux[lo]
+            diff /= h
+            diffs.append((inner, diff))
             if self.periodic:
                 wraps.append((first, (flux[first] - flux[last]) / h))
         return diffs + wraps, max(d_max)
@@ -265,10 +282,12 @@ class _Stepper:
         return self.cfg.cfl_safety / (2.0 * d_max * self.inv_h2)
 
     def apply(self, u, dt, diffs, f_nodes):
-        """u after one step dt of the scheme, from ``fluxes(u)``, before the boundary."""
+        """u after one step dt of the scheme, from ``fluxes(u)``, before the boundary;
+        the differences in ``diffs`` are left scaled by dt."""
         out = u.copy()
         for index, diff in diffs:
-            out[index] += dt * diff
+            diff *= dt
+            out[index] += diff
         if f_nodes is not None:
             out += dt * f_nodes  # edge values are reset by the boundary condition
         if self.periodic:
@@ -345,14 +364,14 @@ def solve(
     set_bc = _boundary_setter(cfg, grid, oracle)
 
     out = np.empty((grid.nt, *grid.spatial_shape()))
-    u = set_bc(u, grid.t_extent[0])
+    t = float(grid.t_extent[0])
+    u = set_bc(u, t)
     out[0] = u
-    t = grid.t_extent[0]
     steps = 0
 
-    for level in range(1, grid.nt):
-        t_target = grid.t_nodes[level]
-        while t < t_target - 1e-13 * max(1.0, abs(t_target)):
+    for level, t_target in enumerate(grid.t_nodes[1:].tolist(), start=1):  # exact, as Python floats
+        t_stop = t_target - 1e-13 * max(1.0, abs(t_target))
+        while t < t_stop:
             diffs, d_max = stepper.fluxes(u)
             if not math.isfinite(d_max):
                 raise BlowUp(steps, t)

@@ -209,6 +209,17 @@ def test_source_term_eval(unit_grid):
     assert np.allclose(vals2, vals, atol=1e-12)
 
 
+def test_eval_nodes_field_form_outside_its_extent_raises():
+    field_grid = GridSpec.one_d(0.0, 1.0, 11, 0.0, 1.0, 5)
+    src = SourceTerm(SpaceTimeField(field_grid, np.random.default_rng(1).normal(size=(5, 11))))
+    grid = GridSpec.one_d(0.0, 1.0, 21, 0.0, 2.0, 3)
+    src.eval_nodes(grid, 0.5)
+    with pytest.raises(OutOfDomain, match="t-coordinate"):
+        src.eval_nodes(grid, 1.5)
+    with pytest.raises(OutOfDomain, match="x-coordinate"):
+        src.eval_nodes(GridSpec.one_d(0.0, 1.5, 21, 0.0, 1.0, 3), 0.5)
+
+
 def test_save_load_roundtrip(tmp_path, unit_grid):
     rng = np.random.default_rng(9)
     f = SpaceTimeField(unit_grid, rng.normal(size=(unit_grid.nt, 101)), name="u", provenance="test")

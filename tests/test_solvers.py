@@ -262,6 +262,23 @@ def test_blowup_reported():
     assert exc.value.step_index >= 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("params", [
+    EquationParams.p_parabolic(3.0, 1), EquationParams.pme(2.0, 1),
+    EquationParams.doubly_nonlinear(3.0, 1.5, 1), EquationParams.p_parabolic(3.0, 2),
+    EquationParams.pme(2.0, 2), EquationParams.doubly_nonlinear(3.0, 1.5, 2),
+], ids=lambda p: f"{p.kind.value}-{p.n}d")
+def test_non_finite_init_blows_up_at_step_0(params, bad):
+    # every family whose D reads u or grad u: a non-finite node makes a face D
+    # non-finite, so d_max is not finite before the first substep
+    g = GridSpec(params.n, ((0.0, 1.0),) * params.n, (9,) * params.n, (0.5, 0.6), 3)
+    init = np.full(g.spatial_shape(), 0.25)
+    init[(4,) * params.n] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(BlowUp) as exc:  # 2D: inf * 0 on a face
+        solve(params, None, init, g)
+    assert (exc.value.step_index, exc.value.time) == (0, 0.5)
+
+
 def test_unstable_config_step_budget():
     g = GridSpec.one_d(0.0, 1.0, 257, 0.0, 0.1, 3)
     cfg = SolverConfig(max_steps=10)
@@ -447,3 +464,83 @@ def test_two_d_oracle_dirichlet_edges_equal_oracle():
 def test_solvers_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def _literal_scheme(params, source, init, grid, cfg, oracle):
+    """The module docstring's update as plain numpy expressions: u, then each
+    axis' (F_hi - F_lo) / h on the inner nodes in axis order, then each axis'
+    wrapped-face flux on a PERIODIC boundary, then dt f; D is the closed form
+    with every factor, since a factor that is exactly 1 changes no bit."""
+    p, m, eps, dim = params.p, params.m, cfg.flux_regularization_eps, grid.dim
+    periodic = cfg.boundary is Boundary.PERIODIC
+    mesh = grid.node_mesh()
+
+    def along(a, i):
+        return tuple(i if b == a else slice(None) for b in range(dim))
+
+    def boundary(u, t):
+        for edge in ([] if periodic else [along(a, i) for a in range(dim) for i in (0, -1)]):
+            xs = [x[edge] for x in mesh]
+            u[edge] = 0.0 if oracle is None else oracle.eval(*xs, np.full(xs[0].shape, t))
+        return u
+
+    u = boundary(np.array(init, dtype=float), grid.t_extent[0])
+    out, t = [u.copy()], grid.t_extent[0]
+    for t_target in grid.t_nodes[1:]:
+        while t < t_target - 1e-13 * max(1.0, abs(t_target)):
+            node_grads = [np.gradient(u, h, axis=a) for a, h in enumerate(grid.dx)][::-1]
+            inner, wraps, d_max = [], [], []
+            for a, h in enumerate(grid.dx):
+                lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
+                grad = (u[hi] - u[lo]) / h
+                grad2 = grad * grad
+                if dim == 2:
+                    grad2 = grad2 + (0.5 * (node_grads[a][hi] + node_grads[a][lo])) ** 2
+                d = m * np.abs(0.5 * (u[lo] + u[hi])) ** (m - 1.0) * (grad2 + eps**2) ** ((p - 2.0) / 2.0)
+                d_max.append(float(d.max()))
+                flux = d * grad
+                inner.append((along(a, slice(1, -1)), (flux[hi] - flux[lo]) / h))
+                wraps.append((along(a, 0), (flux[along(a, 0)] - flux[along(a, -1)]) / h))
+            d_top = max(d_max)
+            step = cfg.cfl_safety * min(grid.dx) ** 2 if d_top == 0.0 else \
+                cfg.cfl_safety / (2.0 * d_top * sum(1.0 / h**2 for h in grid.dx))
+            dt = min(step, t_target - t)
+            new = u.copy()
+            for index, diff in inner + (wraps if periodic else []):
+                new[index] += dt * diff
+            if source is not None:
+                new += dt * source.form(*mesh, t)
+            if periodic:
+                for a in range(dim):
+                    new[along(a, -1)] = new[along(a, 0)]
+            t += dt
+            u = boundary(new, t)
+        t = t_target
+        out.append(u.copy())
+    return np.array(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pm=st.sampled_from([(2.0, 1.0), (3.0, 1.0), (4.0, 1.0), (2.0, 2.0), (2.0, 1.5),
+                           (3.0, 2.0), (2.5, 1.5)]),
+       dim=st.sampled_from([1, 2]),
+       boundary=st.sampled_from(list(Boundary)),
+       eps=st.sampled_from([1e-6, 0.0]),
+       with_source=st.booleans(),
+       signed=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_stepper_equals_the_literal_scheme_bitwise(pm, dim, boundary, eps, with_source, signed, seed):
+    params = EquationParams(EquationKind.DOUBLY_NONLINEAR, dim, p=pm[0], m=pm[1])
+    nx = (17,) if dim == 1 else (9, 11)
+    g = GridSpec(dim, ((0.0, 1.0),) * dim, nx, (0.2, 0.2015), 3)
+    rng = np.random.default_rng(seed)
+    init = 0.6 * np.prod([np.sin(np.pi * x) for x in g.node_mesh()], axis=0)
+    init = init + 0.05 * rng.standard_normal(g.spatial_shape())
+    init = init if signed else np.abs(init)
+    source = SourceTerm(ClosedForm("sin_product", {"k": (1.0, 2.0)[:dim], "omega": 3.0})) \
+        if with_source else None
+    cfg = SolverConfig(flux_regularization_eps=eps, boundary=boundary)
+    oracle = HeatSeparable(n=dim, amplitude=0.3) if boundary is Boundary.DIRICHLET_FROM_ORACLE else None
+    got = solve(params, source, init, g, cfg, oracle=oracle)
+    assert np.array_equal(got.values, _literal_scheme(params, source, init, g, cfg, oracle))
+

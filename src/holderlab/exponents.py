@@ -158,7 +158,7 @@ class RegularityReport:
     gamma = alpha/m, or beta = alpha(p-1)/(m+p-2) depending on the family);
     ``raw_alpha`` is the exponent before that final division.  When the
     homogeneous branch is active the value is an open supremum and
-    ``open_interval`` is set; ``realized`` subtracts a margin in that case.
+    ``open_interval`` is set.
     """
 
     alpha_space: float
@@ -167,10 +167,6 @@ class RegularityReport:
     branch: Branch
     open_interval: bool
     raw_alpha: float
-
-    def realized(self, margin: float = 0.01) -> float:
-        """Usable exponent: the value itself, minus ``margin`` if open."""
-        return self.alpha_space - margin if self.open_interval else self.alpha_space
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "rough_power_cap",
     "save_field",
     "load_field",
-    "export_csv",
 ]
 
 _EDGE_TOL = 1e-12
@@ -604,16 +603,3 @@ def load_field(path) -> SpaceTimeField:
     return SpaceTimeField(grid, values, name=header.get("name", ""),
                           provenance=header.get("provenance", ""))
 
-
-def export_csv(field: SpaceTimeField, path) -> None:
-    """Long-format CSV with columns t,x[,y],u."""
-    g = field.grid
-    mesh = [x.ravel().tolist() for x in g.node_mesh()]
-    try:
-        with open(path, "w") as fh:
-            fh.write(",".join(["t", *("x", "y")[:g.dim], "u"]) + "\n")
-            for t, row in zip(g.t_nodes.tolist(), field.values.reshape(g.nt, -1).tolist()):
-                for point in zip(*mesh, row):
-                    fh.write(",".join(map(repr, (t, *point))) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write CSV to {path}: {exc}") from exc

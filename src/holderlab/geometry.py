@@ -4,14 +4,18 @@ A cylinder of radius tau anchored at (x0, t0) with time exponent theta is
 the backward set (t0 - tau^theta, t0) x B_tau(x0).  Shrinking tau nests the
 cylinders, which makes oscillation ladders monotone by construction.
 
-Four rescaling transformations are provided, each acting as
-v(x, t) = amplitude * u(space * x, time * t) with a matching source factor:
+Every rescaling is v(x, t) = b^A u(b^B x, b^C t) with a base b in (0, 1].
+It keeps u_t - div(m u^(m-1) |grad u|^(p-2) grad u) exactly when
+C = (m + p - 3) A + p B, and its source is f~ = b^(A + C) f(b^B x, b^C t).
+Each kind is one row:
 
-* ``POISSON_ZOOM``        u_lam = lam^-(2 - n/p) u(lam x), f_lam = lam^(n/p) f(lam x)
-* ``PPOISSON_NORMALIZE``  v = rho u(x, rho^(p-2) t),       f~ = rho^(p-1) f
-* ``PME_ZOOM``            v = u(lam^k x, lam^(k theta) t) / lam^(gamma k),
-                          f~ = lam^(k (2 - alpha)) f
-* ``PME_NORMALIZE``       v = rho u(rho^a x, rho^(m-1+2a) t), f~ = rho^(m+2a) f
+* ``PPOISSON_NORMALIZE``  b = rho,    B = 0,  C = p - 2,             A = 1
+* ``PME_NORMALIZE``       b = rho,    B = a,  C = (m - 1) + 2a,      A = 1
+* ``PME_ZOOM``            b = lam^k,  B = 1,  C = theta,             A = -gamma
+
+The normalize rows are C = (m - 1) + (p - 2) + p a at (a, m) = (0, 1) and
+at p = 2.  ``PME_ZOOM`` requires alpha = 2 - theta + gamma (alpha = m gamma
+at p = 2), so its source factor is lam^(k (2 - alpha)).
 """
 
 from __future__ import annotations
@@ -187,7 +191,6 @@ def _lqr(flat: np.ndarray, grid: GridSpec, q: float, r: float) -> float:
 
 
 class ScalingKind(Enum):
-    POISSON_ZOOM = "poisson_zoom"
     PPOISSON_NORMALIZE = "ppoisson_normalize"
     PME_ZOOM = "pme_zoom"
     PME_NORMALIZE = "pme_normalize"
@@ -219,26 +222,8 @@ def _require(cond, msg):
         raise InvalidScaleParameter(msg)
 
 
-def build_scaling(kind: ScalingKind, **params) -> AnisotropicScaling:
-    """Construct a scaling whose factors satisfy the kind's exact coupling.
-
-    Contraction parameters ``lam`` and ``rho`` live in (0, 1]; the value 1
-    yields the identity.  A ``kind`` that names no member raises ``ValueError``.
-    """
-    kind = ScalingKind(kind)
-    if kind is ScalingKind.POISSON_ZOOM:
-        lam, p_hat, n = params["lam"], params["p_hat"], params["n"]
-        _require(0.0 < lam <= 1.0, "lam must lie in (0, 1]")
-        _require(p_hat >= 1.0, "p_hat must be >= 1")
-        _require(n >= 1, "n must be >= 1")
-        return AnisotropicScaling(
-            kind, lam, 1.0, lam ** -(2.0 - n / p_hat), lam ** (n / p_hat), dict(params)
-        )
-    if kind is ScalingKind.PPOISSON_NORMALIZE:
-        rho, p = params["rho"], params["p"]
-        _require(0.0 < rho <= 1.0, "rho must lie in (0, 1]")
-        _require(p >= 2.0, "p must be >= 2")
-        return AnisotropicScaling(kind, 1.0, rho ** (p - 2.0), rho, rho ** (p - 1.0), dict(params))
+def _row(kind: ScalingKind, params) -> tuple[float, float, float, float]:
+    """(b, B, C, A): the base and the space, time and amplitude exponents of ``kind``."""
     if kind is ScalingKind.PME_ZOOM:
         lam, k = params["lam"], params.get("k", 1)
         theta, gamma, alpha = params["theta"], params["gamma"], params["alpha"]
@@ -247,16 +232,31 @@ def build_scaling(kind: ScalingKind, **params) -> AnisotropicScaling:
         _require(theta >= 1.0, "theta must be >= 1")
         _require(gamma > 0.0, "gamma must be positive")
         _require(0.0 < alpha <= 1.0, "alpha must lie in (0, 1]")
-        space = lam ** float(k)
-        return AnisotropicScaling(
-            kind, space, space**theta, space**-gamma, space ** (2.0 - alpha), dict(params)
-        )
-    rho, a, m = params["rho"], params["a"], params["m"]  # PME_NORMALIZE
+        _require(abs(alpha - (2.0 - theta + gamma)) <= _REL_TOL,
+                 "alpha must equal 2 - theta + gamma")
+        return lam ** float(k), 1.0, theta, -gamma
+    rho = params["rho"]
     _require(0.0 < rho <= 1.0, "rho must lie in (0, 1]")
-    _require(a > 0.0, "a must be positive")
-    _require(m >= 1.0, "m must be >= 1")
+    if kind is ScalingKind.PPOISSON_NORMALIZE:
+        p, a, m = params["p"], 0.0, 1.0
+        _require(p >= 2.0, "p must be >= 2")
+    else:  # PME_NORMALIZE
+        p, a, m = 2.0, params["a"], params["m"]
+        _require(a > 0.0, "a must be positive")
+        _require(m >= 1.0, "m must be >= 1")
+    return rho, a, (m - 1.0) + (p - 2.0) + p * a, 1.0
+
+
+def build_scaling(kind: ScalingKind, **params) -> AnisotropicScaling:
+    """Construct a scaling from the kind's row: every factor is b to its exponent.
+
+    Contraction parameters ``lam`` and ``rho`` live in (0, 1]; the value 1
+    yields the identity.  A ``kind`` that names no member raises ``ValueError``.
+    """
+    kind = ScalingKind(kind)
+    b, space, time, amplitude = _row(kind, params)
     return AnisotropicScaling(
-        kind, rho**a, rho ** ((m - 1.0) + 2.0 * a), rho, rho ** (m + 2.0 * a), dict(params)
+        kind, b**space, b**time, b**amplitude, b ** (amplitude + time), dict(params)
     )
 
 
@@ -315,44 +315,35 @@ class ScalingNormFactor:
     """Predicted prefactor relating the transformed source's mixed norm on
     the unit cylinder to the original norm on the mapped (shrunken) region.
 
-    ``exponent_e`` is reported for the zoom kinds: the decay exponent of the
-    r-th power identity, nonnegative exactly when the factor is <= 1 for a
-    contraction.  For ``PME_NORMALIZE`` it is the smallness-regime exponent
-    (m + 2a) r - a (n r / q + 2) - (m - 1), required positive.
+    For the row (b, B, C, A) of the scaling the factor is b^(e/r) with
+    ``exponent_e`` e = r (A + C - B n/q) - C; at r = inf, e is the limit of
+    e/r and the factor is b^e.  ``exponent_nonnegative`` is e >= 0, so for
+    b < 1 exactly when the factor is <= 1.  For ``PME_NORMALIZE`` e is
+    ``pme_smallness_exponent``.
     """
 
     factor: float
-    exponent_e: float | None = None
-    exponent_nonnegative: bool | None = None
+    exponent_e: float
+    exponent_nonnegative: bool
 
 
 def scaling_norm_factor(sc: AnisotropicScaling, q: float, r: float, n: int) -> ScalingNormFactor:
     """Exact algebraic norm prefactor F * S^(-n/q) * T^(-1/r)."""
-    kind = ScalingKind(sc.kind)
-    iq = 1.0 / q
-    ir = 1.0 / r
-    factor = (
-        sc.source_factor
-        * sc.space_factor ** (-n * iq)
-        * sc.time_factor ** (-ir)
-    )
-    if kind is ScalingKind.PME_ZOOM:
-        alpha, theta = sc.params["alpha"], sc.params["theta"]
-        e_over_r = (2.0 - alpha) - n * iq - theta * ir
-        e = e_over_r * r if not math.isinf(r) else (math.inf if e_over_r > 0 else -math.inf if e_over_r < 0 else 0.0)
-        return ScalingNormFactor(factor, e, e_over_r >= 0.0)
-    if kind is ScalingKind.PME_NORMALIZE:
-        e = pme_smallness_exponent(sc.params["m"], sc.params["a"], n, q, r)
-        return ScalingNormFactor(factor, e, e > 0.0)
-    return ScalingNormFactor(factor)
+    e = _norm_exponent(_row(ScalingKind(sc.kind), sc.params), n, q, r)
+    factor = sc.source_factor * sc.space_factor ** (-n * (1.0 / q)) * sc.time_factor ** (-1.0 / r)
+    return ScalingNormFactor(factor, e, e >= 0.0)
+
+
+def _norm_exponent(row, n: int, q: float, r: float) -> float:
+    """r (A + C - B n/q) - C of the row (b, B, C, A); for r = inf, the /r limit."""
+    _, space, time, amplitude = row
+    per_r = (amplitude + time) - space * n / q
+    return per_r if math.isinf(r) else r * per_r - time
 
 
 def pme_smallness_exponent(m: float, a: float, n: int, q: float, r: float) -> float:
     """(m + 2a) r - a (n r / q + 2) - (m - 1); for r = inf, the /r limit."""
-    iq = 1.0 / q
-    if math.isinf(r):
-        return (m + 2.0 * a) - a * n * iq
-    return (m + 2.0 * a) * r - a * (n * r * iq + 2.0) - (m - 1.0)
+    return _norm_exponent(_row(ScalingKind.PME_NORMALIZE, dict(rho=1.0, a=a, m=m)), n, q, r)
 
 
 # -- smallness search ---------------------------------------------------------

@@ -366,6 +366,8 @@ def solve(
     out = np.empty((grid.nt, *grid.spatial_shape()))
     t = float(grid.t_extent[0])
     u = set_bc(u, t)
+    if not np.isfinite(u).all():
+        raise BlowUp(0, t)
     out[0] = u
     steps = 0
 

@@ -163,8 +163,6 @@ def test_pme_homogeneous_limited_example():
     assert rep.raw_alpha == 1.0
     assert rep.alpha_space == pytest.approx(0.5, abs=1e-15)
     assert rep.theta == pytest.approx(1.5, abs=1e-15)
-    assert rep.realized() == pytest.approx(0.49, abs=1e-15)
-    assert rep.realized(0.02) == pytest.approx(0.48, abs=1e-15)
 
 
 def test_pme_m1_reduces_to_heat():

@@ -20,7 +20,6 @@ from holderlab.fields import (
     Rectangle,
     SourceTerm,
     SpaceTimeField,
-    export_csv,
     expression,
     integrate_region,
     interpolate_eval,
@@ -229,31 +228,6 @@ def test_save_load_roundtrip(tmp_path, unit_grid):
     assert g.grid == unit_grid
     assert np.array_equal(g.values, f.values)
     assert g.name == "u" and g.provenance == "test"
-
-
-def test_export_csv(tmp_path):
-    g = GridSpec.one_d(0.0, 1.0, 3, 0.0, 1.0, 2)
-    f = sample(expression("affine", slopes=(1.0,)), g)
-    p = tmp_path / "f.csv"
-    export_csv(f, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "t,x,u"
-    assert len(lines) == 1 + 2 * 3
-    t, x, u = map(float, lines[2].split(","))
-    assert (t, x, u) == (0.0, 0.5, 0.5)
-
-
-def test_export_csv_2d(tmp_path):
-    g = GridSpec.two_d((0.0, 1.0), (0.0, 2.0), 3, 5, 0.0, 1.0, 2)
-    f = sample(expression("affine", slopes=(1.0, 10.0), t_slope=100.0), g)
-    p = tmp_path / "f.csv"
-    export_csv(f, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "t,x,y,u"
-    assert len(lines) == 1 + 2 * 3 * 5
-    # rows run over t, then x, then y: this one is t = 1, x = 0.5, y = 1
-    t, x, y, u = map(float, lines[1 + 15 + 5 + 2].split(","))
-    assert (t, x, y, u) == (1.0, 0.5, 1.0, 110.5)
 
 
 @pytest.mark.parametrize("grid", [
@@ -478,9 +452,8 @@ def test_fields_reject_bad_input(call, error, match):
 
 @pytest.mark.parametrize("io", [
     lambda f, d: save_field(f, d),
-    lambda f, d: export_csv(f, d),
     lambda f, d: load_field(d / "missing.hlf"),
-], ids=["save_to_directory", "csv_to_directory", "load_missing"])
+], ids=["save_to_directory", "load_missing"])
 def test_os_errors_raise_io_failure(tmp_path, io):
     with pytest.raises(IoFailure):
         io(sample(expression("zero"), _tiny_grid()), tmp_path)

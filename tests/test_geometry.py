@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holderlab import geometry
 from holderlab.errors import (
@@ -219,15 +221,10 @@ def test_build_scaling_pme_normalize_and_poisson_zoom():
     assert sc.time_factor == 0.5 ** ((2.0 - 1.0) + 2.0)
     assert sc.amplitude_factor == 0.5
     assert sc.source_factor == 0.5 ** (2.0 + 2.0)
-    z = build_scaling(ScalingKind.POISSON_ZOOM, lam=0.5, p_hat=2.0, n=1)
-    assert z.amplitude_factor == 0.5 ** -(2.0 - 0.5)
-    assert z.source_factor == 0.5**0.5
-    assert z.time_factor == 1.0
 
 
 def test_build_scaling_identity():
     for kind, params in [
-        (ScalingKind.POISSON_ZOOM, dict(lam=1.0, p_hat=2.0, n=1)),
         (ScalingKind.PPOISSON_NORMALIZE, dict(rho=1.0, p=3.0)),
         (ScalingKind.PME_ZOOM, dict(lam=1.0, k=1, theta=1.5, gamma=0.5, alpha=1.0)),
         (ScalingKind.PME_NORMALIZE, dict(rho=1.0, a=1.0, m=2.0)),
@@ -244,6 +241,8 @@ def test_build_scaling_validation():
         build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, a=0.0, m=2.0)
     with pytest.raises(InvalidScaleParameter):
         build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=0, theta=1.5, gamma=0.5, alpha=1.0)
+    with pytest.raises(InvalidScaleParameter, match="alpha must equal"):
+        build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=1, theta=1.5, gamma=0.5, alpha=0.9)
 
 
 def test_unknown_scaling_kind_raises_value_error():
@@ -324,23 +323,36 @@ def test_scaling_norm_factor_examples():
     assert scaling_norm_factor(ident, 10.0, 10.0, 1).factor == 1.0
 
 
-def test_poisson_zoom_norm_identity():
-    # ||f_lam||_p on B_1 equals ||f||_p on B_lam; factor is exactly 1
-    g = GridSpec.one_d(-1.0, 1.0, 4097, 0.0, 1.0, 3)
-    rng = np.random.default_rng(19)
-    p_hat = 2.0
-    for lam in (0.1, 0.5, 0.9):
-        fn = expression("trig_series", seed=int(rng.integers(1 << 30)), terms=4, kink=0.7)
-        f = sample(fn, g)
-        sc = build_scaling(ScalingKind.POISSON_ZOOM, lam=lam, p_hat=p_hat, n=1)
-        assert scaling_norm_factor(sc, p_hat, math.inf, 1).factor == pytest.approx(1.0, abs=1e-14)
-        f_lam = apply_scaling(f, sc, grid=g, role="source")
-        full = Rectangle.one_d(-1.0, 1.0, 0.0, 1.0)
-        ball = Rectangle.one_d(-lam, lam, 0.0, 1.0)
-        lhs = integrate_region(f_lam, full, p_hat) / 1.0  # time extent 1 cancels
-        rhs = integrate_region(f, ball, p_hat)
-        assert lhs <= integrate_region(f, full, p_hat) + 1e-8
-        assert lhs == pytest.approx(rhs, rel=1e-2)
+# (kind, params, base b, the (p, m) whose operator the row keeps)
+_contraction = st.floats(1e-3, 1.0)
+_ROWS = st.one_of(
+    st.builds(lambda rho, p: (ScalingKind.PPOISSON_NORMALIZE, dict(rho=rho, p=p), rho, (p, 1.0)),
+              _contraction, st.floats(2.0, 12.0)),
+    st.builds(lambda rho, m, a: (ScalingKind.PME_NORMALIZE, dict(rho=rho, a=float(a), m=m), rho,
+                                 (2.0, m)),
+              _contraction, st.floats(1.0, 6.0), st.integers(1, 5)),
+    st.builds(lambda lam, k, gamma, alpha: (
+                  ScalingKind.PME_ZOOM,
+                  dict(lam=lam, k=k, theta=2.0 - alpha + gamma, gamma=gamma, alpha=alpha),
+                  lam ** float(k), (2.0, alpha / gamma)),
+              _contraction, st.integers(1, 3), st.floats(0.05, 3.0), st.floats(0.05, 1.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_ROWS, q=st.floats(1.0, 100.0), r=st.one_of(st.floats(1.01, 100.0), st.just(math.inf)),
+       n=st.sampled_from([1, 2]))
+def test_rescaling_identities(row, q, r, n):
+    kind, params, b, (p, m) = row
+    sc = build_scaling(kind, **params)
+    rel = dict(rel=1e-12, abs=0.0)
+    assert sc.source_factor == pytest.approx(sc.amplitude_factor * sc.time_factor, **rel)
+    assert sc.time_factor == pytest.approx(
+        sc.amplitude_factor ** (m + p - 3.0) * sc.space_factor**p, **rel)
+    rep = scaling_norm_factor(sc, q, r, n)
+    e_over_r = rep.exponent_e if math.isinf(r) else rep.exponent_e / r
+    assert rep.factor == pytest.approx(b**e_over_r, **rel)
+    assert rep.exponent_nonnegative == (rep.exponent_e >= 0.0)
 
 
 def test_smallness_search_pparabolic():

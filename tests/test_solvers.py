@@ -264,17 +264,17 @@ def test_blowup_reported():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("params", [
+    EquationParams.heat(1), EquationParams.heat(2),
     EquationParams.p_parabolic(3.0, 1), EquationParams.pme(2.0, 1),
     EquationParams.doubly_nonlinear(3.0, 1.5, 1), EquationParams.p_parabolic(3.0, 2),
     EquationParams.pme(2.0, 2), EquationParams.doubly_nonlinear(3.0, 1.5, 2),
 ], ids=lambda p: f"{p.kind.value}-{p.n}d")
 def test_non_finite_init_blows_up_at_step_0(params, bad):
-    # every family whose D reads u or grad u: a non-finite node makes a face D
-    # non-finite, so d_max is not finite before the first substep
+    # every family, also heat, whose D never reads u: init is checked before any flux
     g = GridSpec(params.n, ((0.0, 1.0),) * params.n, (9,) * params.n, (0.5, 0.6), 3)
     init = np.full(g.spatial_shape(), 0.25)
     init[(4,) * params.n] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(BlowUp) as exc:  # 2D: inf * 0 on a face
+    with pytest.raises(BlowUp) as exc:
         solve(params, None, init, g)
     assert (exc.value.step_index, exc.value.time) == (0, 0.5)
 

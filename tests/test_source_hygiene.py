@@ -51,3 +51,14 @@ def test_every_private_name_is_read_outside_its_definition(module):
               if name.startswith("_") and not name.startswith("__")
               and not any(name in reads for other, reads in READS if other is not stmt)]
     assert unused == []
+
+
+# module -> its ``__all__``, for every module that declares one
+EXPORTS = {module: ast.literal_eval(stmt.value) for module, tree in MODULES.items()
+           for stmt in tree.body if isinstance(stmt, ast.Assign) and _defined(stmt) == ["__all__"]}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_every_exported_name_is_defined_in_its_module(module):
+    defined = {name for stmt in MODULES[module].body for name in _defined(stmt)}
+    assert sorted(set(EXPORTS[module]) - defined) == []

@@ -9,13 +9,20 @@ It keeps u_t - div(m u^(m-1) |grad u|^(p-2) grad u) exactly when
 C = (m + p - 3) A + p B, and its source is f~ = b^(A + C) f(b^B x, b^C t).
 Each kind is one row:
 
-* ``PPOISSON_NORMALIZE``  b = rho,    B = 0,  C = p - 2,             A = 1
-* ``PME_NORMALIZE``       b = rho,    B = a,  C = (m - 1) + 2a,      A = 1
-* ``PME_ZOOM``            b = lam^k,  B = 1,  C = theta,             A = -gamma
+* ``PPOISSON_NORMALIZE``  b = rho,    B = 0,  C = p - 2,                  A = 1
+* ``PME_NORMALIZE``       b = rho,    B = a,  C = (m - 1) + 2a,           A = 1
+* ``DNL_NORMALIZE``       b = rho,    B = a,  C = (m - 1) + (p - 2) + pa, A = 1
+* ``PME_ZOOM``            b = lam^k,  B = 1,  C = theta,                  A = -gamma
 
-The normalize rows are C = (m - 1) + (p - 2) + p a at (a, m) = (0, 1) and
-at p = 2.  ``PME_ZOOM`` requires alpha = 2 - theta + gamma (alpha = m gamma
-at p = 2), so its source factor is lam^(k (2 - alpha)).
+The normalize rows are the ``DNL_NORMALIZE`` row with (a, m) = (0, 1)
+pinned, and with p = 2 pinned.  ``PME_ZOOM`` requires alpha = 2 - theta +
+gamma (alpha = m gamma at p = 2), so its source factor is lam^(k (2 - alpha)).
+
+``smallness`` picks the row from (p, m): at m = 1 ``PPOISSON_NORMALIZE``
+and the p-average of v; at m > 1 the row with a = 1 (``PME_NORMALIZE`` at
+p = 2, ``DNL_NORMALIZE`` otherwise) and the sup of v.  Its source-norm
+exponent e(a) = r (1 + C - a n/q) - C is affine in a with e(0) > 0, so when
+e(1) <= 0 no larger a helps and the search fails before any candidate.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .errors import (
     ScaledDomainEscapes,
     SmallnessSearchFailed,
 )
+from .exponents import EquationParams
 from .fields import (
     GridSpec,
     SpaceTimeField,
@@ -57,6 +65,7 @@ __all__ = [
     "ScalingNormFactor",
     "scaling_norm_factor",
     "SmallnessResult",
+    "smallness",
     "pparabolic_smallness",
     "pme_smallness",
     "pme_smallness_exponent",
@@ -194,6 +203,15 @@ class ScalingKind(Enum):
     PPOISSON_NORMALIZE = "ppoisson_normalize"
     PME_ZOOM = "pme_zoom"
     PME_NORMALIZE = "pme_normalize"
+    DNL_NORMALIZE = "dnl_normalize"
+
+
+# the exponents each normalize kind fixes; the rest are read from the params
+_PINNED = {
+    ScalingKind.PPOISSON_NORMALIZE: dict(a=0.0, m=1.0),
+    ScalingKind.PME_NORMALIZE: dict(p=2.0),
+    ScalingKind.DNL_NORMALIZE: {},
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,13 +255,12 @@ def _row(kind: ScalingKind, params) -> tuple[float, float, float, float]:
         return lam ** float(k), 1.0, theta, -gamma
     rho = params["rho"]
     _require(0.0 < rho <= 1.0, "rho must lie in (0, 1]")
-    if kind is ScalingKind.PPOISSON_NORMALIZE:
-        p, a, m = params["p"], 0.0, 1.0
-        _require(p >= 2.0, "p must be >= 2")
-    else:  # PME_NORMALIZE
-        p, a, m = 2.0, params["a"], params["m"]
-        _require(a > 0.0, "a must be positive")
-        _require(m >= 1.0, "m must be >= 1")
+    pinned = _PINNED[kind]
+    exps = {**params, **pinned}
+    p, a, m = exps["p"], exps["a"], exps["m"]
+    _require(p >= 2.0, "p must be >= 2")
+    _require(a > 0.0 or "a" in pinned, "a must be positive")
+    _require(m >= 1.0, "m must be >= 1")
     return rho, a, (m - 1.0) + (p - 2.0) + p * a, 1.0
 
 
@@ -416,6 +433,32 @@ def _bisect_smallness(make_scaling, a, v_power, u_field, f_field, q, r, epsilon,
     return SmallnessResult(rho, a, sc, v, f_scaled, v_norm, f_norm, it)
 
 
+def smallness(
+    params: EquationParams,
+    u_field: SpaceTimeField,
+    f_field: SpaceTimeField,
+    q: float,
+    r: float,
+    epsilon: float = 1e-2,
+    max_iter: int = 60,
+) -> SmallnessResult:
+    """Contraction v = rho u(rho^a x, rho^C t) of the family of ``params`` reaching
+    the smallness regime ||v||_{G1} <= 1 and ||f~||_{q,r;G1} <= epsilon, with the
+    row and the norm of v chosen by the rule in the module docstring."""
+    if params.n != u_field.grid.dim:
+        raise ValueError(f"params.n = {params.n} but the fields are {u_field.grid.dim}D")
+    kind = (ScalingKind.PPOISSON_NORMALIZE if params.m == 1.0 else
+            ScalingKind.PME_NORMALIZE if params.p == 2.0 else ScalingKind.DNL_NORMALIZE)
+    exps = {k: v for k, v in dict(p=params.p, a=1.0, m=params.m).items() if k not in _PINNED[kind]}
+    a, v_power = (None, params.p) if kind is ScalingKind.PPOISSON_NORMALIZE else (1, math.inf)
+    if _norm_exponent(_row(kind, dict(rho=1.0, **exps)), params.n, q, r) <= 0.0:
+        raise SmallnessSearchFailed("no integer a <= 64 makes the exponent positive")
+    return _bisect_smallness(
+        lambda rho: build_scaling(kind, rho=rho, **exps),
+        a, v_power, u_field, f_field, q, r, epsilon, max_iter,
+    )
+
+
 def pparabolic_smallness(
     u_field: SpaceTimeField,
     f_field: SpaceTimeField,
@@ -425,12 +468,9 @@ def pparabolic_smallness(
     epsilon: float = 1e-2,
     max_iter: int = 60,
 ) -> SmallnessResult:
-    """Contraction v = rho u(x, rho^(p-2) t) reaching the smallness regime
-    ||v||_{p,avg,G1} <= 1 and ||f~||_{q,r;G1} <= epsilon."""
-    return _bisect_smallness(
-        lambda rho: build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=rho, p=p),
-        None, p, u_field, f_field, q, r, epsilon, max_iter,
-    )
+    """``smallness`` for the p-parabolic equation: v = rho u(x, rho^(p-2) t)."""
+    return smallness(EquationParams.p_parabolic(p, u_field.grid.dim),
+                     u_field, f_field, q, r, epsilon, max_iter)
 
 
 def pme_smallness(
@@ -442,16 +482,6 @@ def pme_smallness(
     epsilon: float = 1e-2,
     max_iter: int = 60,
 ) -> SmallnessResult:
-    """Contraction v = rho u(rho^a x, rho^(m-1+2a) t) with the smallest
-    integer a > 0 making the source-norm exponent positive."""
-    n = u_field.grid.dim
-    a = 1
-    while pme_smallness_exponent(m, float(a), n, q, r) <= 0.0:
-        a += 1
-        if a > 64:
-            raise SmallnessSearchFailed("no integer a <= 64 makes the exponent positive")
-
-    return _bisect_smallness(  # sup norm target for v
-        lambda rho: build_scaling(ScalingKind.PME_NORMALIZE, rho=rho, a=float(a), m=m),
-        a, math.inf, u_field, f_field, q, r, epsilon, max_iter,
-    )
+    """``smallness`` for the porous medium equation: v = rho u(rho x, rho^(m+1) t)."""
+    return smallness(EquationParams.pme(m, u_field.grid.dim),
+                     u_field, f_field, q, r, epsilon, max_iter)

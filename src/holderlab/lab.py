@@ -223,12 +223,11 @@ def fit_exponent(
     if window is None:
         window = default_fit_window(profile)
     k_lo, k_hi = window
-    sel = [lv for lv in profile.levels if k_lo <= lv.k <= k_hi]
-    radii = np.array([lv.radius for lv in sel])
-    vals = profile.series(quantity)[[lv.k for lv in sel]] if sel else np.array([])
+    sel = np.array([k_lo <= lv.k <= k_hi for lv in profile.levels], dtype=bool)
+    radii, vals = profile.radii()[sel], profile.series(quantity)[sel]
     keep = vals > ZERO_FLOOR
     n_excluded = int((~keep).sum())
-    if sel and not keep.any():
+    if sel.any() and not keep.any():
         raise AllZeroLevels("every level in the window is numerically zero")
     radii, vals = radii[keep], vals[keep]
     if radii.size < 3:

@@ -41,6 +41,7 @@ from holderlab.geometry import (
     pme_smallness,
     pparabolic_smallness,
     scaling_norm_factor,
+    smallness,
     sup_oscillation,
 )
 from holderlab.solvers import BarenblattPME, SolverConfig, residual, sample_reference, stable_dt
@@ -215,7 +216,7 @@ def test_build_scaling_pme_zoom():
     assert sc.amplitude_factor == sc.space_factor**-0.5
 
 
-def test_build_scaling_pme_normalize_and_poisson_zoom():
+def test_build_scaling_pme_normalize():
     sc = build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, a=1.0, m=2.0)
     assert sc.space_factor == 0.5
     assert sc.time_factor == 0.5 ** ((2.0 - 1.0) + 2.0)
@@ -228,6 +229,7 @@ def test_build_scaling_identity():
         (ScalingKind.PPOISSON_NORMALIZE, dict(rho=1.0, p=3.0)),
         (ScalingKind.PME_ZOOM, dict(lam=1.0, k=1, theta=1.5, gamma=0.5, alpha=1.0)),
         (ScalingKind.PME_NORMALIZE, dict(rho=1.0, a=1.0, m=2.0)),
+        (ScalingKind.DNL_NORMALIZE, dict(rho=1.0, p=3.0, a=1.0, m=2.0)),
     ]:
         sc = build_scaling(kind, **params)
         assert (sc.space_factor, sc.time_factor, sc.amplitude_factor, sc.source_factor) == (
@@ -331,6 +333,9 @@ _ROWS = st.one_of(
     st.builds(lambda rho, m, a: (ScalingKind.PME_NORMALIZE, dict(rho=rho, a=float(a), m=m), rho,
                                  (2.0, m)),
               _contraction, st.floats(1.0, 6.0), st.integers(1, 5)),
+    st.builds(lambda rho, p, m, a: (ScalingKind.DNL_NORMALIZE, dict(rho=rho, p=p, a=float(a), m=m),
+                                    rho, (p, m)),
+              _contraction, st.floats(2.0, 12.0), st.floats(1.0, 6.0), st.integers(1, 5)),
     st.builds(lambda lam, k, gamma, alpha: (
                   ScalingKind.PME_ZOOM,
                   dict(lam=lam, k=k, theta=2.0 - alpha + gamma, gamma=gamma, alpha=alpha),
@@ -353,6 +358,28 @@ def test_rescaling_identities(row, q, r, n):
     e_over_r = rep.exponent_e if math.isinf(r) else rep.exponent_e / r
     assert rep.factor == pytest.approx(b**e_over_r, **rel)
     assert rep.exponent_nonnegative == (rep.exponent_e >= 0.0)
+
+
+def _normalize_exponent(p, m, a, n, q, r):
+    sc = build_scaling(ScalingKind.DNL_NORMALIZE, rho=0.5, p=p, a=float(a), m=m)
+    return scaling_norm_factor(sc, q, r, n).exponent_e
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.one_of(st.just(2.0), st.floats(2.0, 10.0)),
+       m=st.one_of(st.just(1.0), st.floats(1.0, 6.0)), n=st.sampled_from([1, 2, 3]),
+       q=st.one_of(st.floats(1.0, 100.0), st.just(math.inf)),
+       r=st.one_of(st.floats(1.01, 100.0), st.just(math.inf)))
+def test_no_a_above_one_makes_a_nonpositive_source_exponent_positive(p, m, n, q, r):
+    # e(a) = r (1 + C - a n/q) - C with C = (m - 1) + (p - 2) + p a is affine in a,
+    # so e(0) = 2 e(1) - e(2), and e(0) > 0 makes the slope negative once e(1) <= 0
+    e1, e2 = (_normalize_exponent(p, m, a, n, q, r) for a in (1, 2))
+    e0 = 2.0 * e1 - e2
+    assert e0 == pytest.approx(m + p - 2.0 if math.isinf(r) else (r - 1.0) * (m + p - 2.0) + 1.0,
+                               rel=1e-9, abs=1e-9 * abs(e2))
+    assert e0 > 0.0
+    if e1 <= 0.0:
+        assert all(_normalize_exponent(p, m, a, n, q, r) <= 0.0 for a in range(2, 65))
 
 
 def test_smallness_search_pparabolic():
@@ -419,10 +446,14 @@ def test_witness_time_levels_put_a_g1_cell_centre_on_the_bottom_face():
 
 
 @pytest.mark.parametrize("g", SMALLNESS_GRIDS, ids=["1d_witness_times", "2d"])
-@pytest.mark.parametrize("family", ["pparabolic", "pme"])
+@pytest.mark.parametrize("family", ["pparabolic", "pme", "dnl"])
 def test_smallness_search_equals_full_grid_loop(g, family):
     u, f = _smallness_fields(g)
-    if family == "pparabolic":
+    if family == "dnl":
+        res = smallness(EquationParams.doubly_nonlinear(3.0, 2.0, g.dim), u, f, 10.0, 10.0)
+        ref = _full_grid_search(ScalingKind.DNL_NORMALIZE, dict(p=3.0, a=1.0, m=2.0), 1, math.inf,
+                                u, f, 10.0, 10.0)
+    elif family == "pparabolic":
         res = pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0)
         ref = _full_grid_search(ScalingKind.PPOISSON_NORMALIZE, dict(p=3.0), None, 3.0,
                                 u, f, 4.0, 4.0)
@@ -492,6 +523,12 @@ def test_pme_smallness_without_a_positive_exponent_raises_before_any_candidate(m
     with pytest.raises(SmallnessSearchFailed, match="no integer a <= 64"):
         pme_smallness(u, f, m=2.0, q=1.0, r=1.01)
     assert calls == []
+
+
+def test_smallness_rejects_params_of_another_dimension():
+    u, f = _smallness_fields(SMALLNESS_GRIDS[1])
+    with pytest.raises(ValueError, match="params.n = 1"):
+        smallness(EquationParams.doubly_nonlinear(3.0, 2.0, 1), u, f, 10.0, 10.0)
 
 
 def test_pparabolic_smallness_with_zero_epsilon_fails_after_max_iter():

@@ -182,6 +182,16 @@ def test_fit_exact_power_law():
     assert fit.r_squared >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("first, window", [(1, (1, 5)), (2, (2, 4))])
+def test_fit_pairs_each_value_with_its_own_level(first, window):
+    # a ladder whose levels do not start at k = 0: a level's k is not its position
+    prof = synthetic_profile(0.75)
+    prof = dataclasses.replace(prof, levels=prof.levels[first:])
+    fit = fit_exponent(prof, window=window, quantity="osc")
+    assert abs(fit.exponent - 0.75) <= 1e-9
+    assert abs(fit.log_constant) <= 1e-9  # osc = radius^0.75 at every level
+
+
 def test_fit_default_window_policy():
     prof = synthetic_profile(0.6, k_max=6)
     fit = fit_exponent(prof)

@@ -62,3 +62,14 @@ EXPORTS = {module: ast.literal_eval(stmt.value) for module, tree in MODULES.item
 def test_every_exported_name_is_defined_in_its_module(module):
     defined = {name for stmt in MODULES[module].body for name in _defined(stmt)}
     assert sorted(set(EXPORTS[module]) - defined) == []
+
+
+# the pipeline's order; a module imports, at module level, only from earlier layers
+LAYERS = ["errors", "exponents", "fields", "solvers", "geometry", "lab"]
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
+def test_module_level_imports_point_to_an_earlier_layer(module):
+    imported = {stmt.module or alias.name for stmt in MODULES[module].body
+                if isinstance(stmt, ast.ImportFrom) and stmt.level == 1 for alias in stmt.names}
+    assert sorted(imported - set(LAYERS[:LAYERS.index(module)])) == []

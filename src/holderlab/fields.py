@@ -286,7 +286,7 @@ def _region_cells(field: SpaceTimeField, region):
     return flat, flat.shape[0]
 
 
-def sample(fn: Callable, grid: GridSpec, name: str = "", provenance: str = "") -> SpaceTimeField:
+def sample(fn: Callable, grid: GridSpec, name: str = "") -> SpaceTimeField:
     """Sample a closed-form expression ``fn(x[, y], t)`` node-exactly.
 
     Raises ``EvaluationFailure`` if the expression is singular at a node.
@@ -297,7 +297,7 @@ def sample(fn: Callable, grid: GridSpec, name: str = "", provenance: str = "") -
         out[k] = np.broadcast_to(fn(*mesh, t), grid.spatial_shape())
     if not np.isfinite(out).all():
         raise EvaluationFailure("expression produced non-finite node values")
-    return SpaceTimeField(grid, out, name=name, provenance=provenance)
+    return SpaceTimeField(grid, out, name=name)
 
 
 def interpolate_eval(field: SpaceTimeField, point) -> float:
@@ -499,9 +499,12 @@ class _NodePlan(NamedTuple):
     values: np.ndarray | None  # read-only node values of a t-free form
 
     def at(self, t: float) -> np.ndarray:
-        """Fresh node values of the form at time t."""
-        return np.broadcast_to(np.asarray(self.fn(*self.mesh, t), dtype=float),
-                               self.grid.spatial_shape()).copy()
+        """Fresh node values of the form at time t; ``EvaluationFailure`` at a singular node."""
+        out = np.broadcast_to(np.asarray(self.fn(*self.mesh, t), dtype=float),
+                              self.grid.spatial_shape()).copy()
+        if not np.isfinite(out).all():
+            raise EvaluationFailure(f"source {self.form.expr!r} is not finite at a node at t = {t}")
+        return out
 
 
 @dataclass

@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+_SMALLNESS_STEPS = 60  # bisection steps of the smallness search
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ class ScalingKind(Enum):
     DNL_NORMALIZE = "dnl_normalize"
 
 
-# the exponents each normalize kind fixes; the rest are read from the params
+# the exponents each normalize kind fixes (no other value is accepted); the rest come from the params
 _PINNED = {
     ScalingKind.PPOISSON_NORMALIZE: dict(a=0.0, m=1.0),
     ScalingKind.PME_NORMALIZE: dict(p=2.0),
@@ -256,6 +257,7 @@ def _row(kind: ScalingKind, params) -> tuple[float, float, float, float]:
     rho = params["rho"]
     _require(0.0 < rho <= 1.0, "rho must lie in (0, 1]")
     pinned = _PINNED[kind]
+    _require(all(params.get(k, v) == v for k, v in pinned.items()), f"{kind.value} pins {pinned}")
     exps = {**params, **pinned}
     p, a, m = exps["p"], exps["a"], exps["m"]
     _require(p >= 2.0, "p must be >= 2")
@@ -378,10 +380,6 @@ class SmallnessResult:
     iterations: int
 
 
-def _unit_cylinder(dim):
-    return IntrinsicCylinder((0.0,) * dim, 0.0, 1.0, 2.0)
-
-
 def _g1_reader(field: SpaceTimeField, g1: IntrinsicCylinder):
     """Function of (scaling, factor) returning G1's cell values of the transformed
     field.  It samples only the node block that the cell reads of G1 use, after the
@@ -398,8 +396,17 @@ def _g1_reader(field: SpaceTimeField, g1: IntrinsicCylinder):
     return cells
 
 
-def _bisect_smallness(make_scaling, a, v_power, u_field, f_field, q, r, epsilon, max_iter):
-    """Largest rho in (0, 1) with ||v||_{v_power,avg;G1} <= 1 and ||f~||_{q,r;G1} <= epsilon.
+def smallness(
+    params: EquationParams,
+    u_field: SpaceTimeField,
+    f_field: SpaceTimeField,
+    q: float,
+    r: float,
+    epsilon: float = 1e-2,
+) -> SmallnessResult:
+    """Largest rho in (0, 1), by bisection, with v = rho u(rho^a x, rho^C t) in the smallness
+    regime ||v||_{G1} <= 1, ||f~||_{q,r;G1} <= epsilon; the row and the norm of v of the
+    family of ``params`` follow the rule in the module docstring.
 
     Each candidate's norms are read on the node block that holds G1's cells,
     sampled with the same operations as ``apply_scaling``, so they equal the
@@ -409,13 +416,21 @@ def _bisect_smallness(make_scaling, a, v_power, u_field, f_field, q, r, epsilon,
     in G1, and ``ScaledDomainEscapes`` at the first candidate whose full grid
     maps outside its field's domain.
     """
-    g1 = _unit_cylinder(u_field.grid.dim)
+    if params.n != u_field.grid.dim:
+        raise ValueError(f"params.n = {params.n} but the fields are {u_field.grid.dim}D")
+    kind = (ScalingKind.PPOISSON_NORMALIZE if params.m == 1.0 else
+            ScalingKind.PME_NORMALIZE if params.p == 2.0 else ScalingKind.DNL_NORMALIZE)
+    exps = {k: v for k, v in dict(p=params.p, a=1.0, m=params.m).items() if k not in _PINNED[kind]}
+    a, v_power = (None, params.p) if kind is ScalingKind.PPOISSON_NORMALIZE else (1, math.inf)
+    if (e := _norm_exponent(_row(kind, dict(rho=1.0, **exps)), params.n, q, r)) <= 0.0:
+        raise SmallnessSearchFailed(f"the source-norm exponent is {e:.3g} <= 0 at a = 1, "
+                                    "so no integer a <= 64 makes it positive")
+    g1 = IntrinsicCylinder((0.0,) * params.n, 0.0, 1.0, 2.0)
     u_cells, f_cells = _g1_reader(u_field, g1), _g1_reader(f_field, g1)
-    best = None
-    lo, hi = 0.0, 1.0
-    for it in range(1, max_iter + 1):
+    best, lo, hi = None, 0.0, 1.0
+    for it in range(1, _SMALLNESS_STEPS + 1):
         rho = 0.5 * (lo + hi)
-        sc = make_scaling(rho)
+        sc = build_scaling(kind, rho=rho, **exps)
         v_norm = _p_avg(u_cells(sc, sc.amplitude_factor), v_power)
         f_norm = _lqr(f_cells(sc, sc.source_factor), f_field.grid, q, r)
         if v_norm <= 1.0 and f_norm <= epsilon:
@@ -424,39 +439,12 @@ def _bisect_smallness(make_scaling, a, v_power, u_field, f_field, q, r, epsilon,
         else:
             hi = rho
     if best is None:
-        raise SmallnessSearchFailed(
-            f"no rho in (0,1) reached the targets after {max_iter} bisection steps"
-        )
+        raise SmallnessSearchFailed(f"no rho in (0,1) reached the targets after "
+                                    f"{_SMALLNESS_STEPS} bisection steps")
     rho, sc, v_norm, f_norm, it = best
     v = apply_scaling(u_field, sc, grid=u_field.grid)
     f_scaled = apply_scaling(f_field, sc, grid=f_field.grid, role="source")
     return SmallnessResult(rho, a, sc, v, f_scaled, v_norm, f_norm, it)
-
-
-def smallness(
-    params: EquationParams,
-    u_field: SpaceTimeField,
-    f_field: SpaceTimeField,
-    q: float,
-    r: float,
-    epsilon: float = 1e-2,
-    max_iter: int = 60,
-) -> SmallnessResult:
-    """Contraction v = rho u(rho^a x, rho^C t) of the family of ``params`` reaching
-    the smallness regime ||v||_{G1} <= 1 and ||f~||_{q,r;G1} <= epsilon, with the
-    row and the norm of v chosen by the rule in the module docstring."""
-    if params.n != u_field.grid.dim:
-        raise ValueError(f"params.n = {params.n} but the fields are {u_field.grid.dim}D")
-    kind = (ScalingKind.PPOISSON_NORMALIZE if params.m == 1.0 else
-            ScalingKind.PME_NORMALIZE if params.p == 2.0 else ScalingKind.DNL_NORMALIZE)
-    exps = {k: v for k, v in dict(p=params.p, a=1.0, m=params.m).items() if k not in _PINNED[kind]}
-    a, v_power = (None, params.p) if kind is ScalingKind.PPOISSON_NORMALIZE else (1, math.inf)
-    if _norm_exponent(_row(kind, dict(rho=1.0, **exps)), params.n, q, r) <= 0.0:
-        raise SmallnessSearchFailed("no integer a <= 64 makes the exponent positive")
-    return _bisect_smallness(
-        lambda rho: build_scaling(kind, rho=rho, **exps),
-        a, v_power, u_field, f_field, q, r, epsilon, max_iter,
-    )
 
 
 def pparabolic_smallness(
@@ -466,11 +454,10 @@ def pparabolic_smallness(
     q: float,
     r: float,
     epsilon: float = 1e-2,
-    max_iter: int = 60,
 ) -> SmallnessResult:
     """``smallness`` for the p-parabolic equation: v = rho u(x, rho^(p-2) t)."""
     return smallness(EquationParams.p_parabolic(p, u_field.grid.dim),
-                     u_field, f_field, q, r, epsilon, max_iter)
+                     u_field, f_field, q, r, epsilon)
 
 
 def pme_smallness(
@@ -480,8 +467,7 @@ def pme_smallness(
     q: float,
     r: float,
     epsilon: float = 1e-2,
-    max_iter: int = 60,
 ) -> SmallnessResult:
     """``smallness`` for the porous medium equation: v = rho u(rho x, rho^(m+1) t)."""
     return smallness(EquationParams.pme(m, u_field.grid.dim),
-                     u_field, f_field, q, r, epsilon, max_iter)
+                     u_field, f_field, q, r, epsilon)

@@ -182,8 +182,8 @@ def reference_eval(ref, point) -> float:
     return float(ref.eval(*[np.asarray(x, dtype=float) for x in xs], np.asarray(float(t))))
 
 
-def sample_reference(ref, grid: GridSpec, name: str = "") -> SpaceTimeField:
-    return sample(ref.eval, grid, name=name or type(ref).__name__)
+def sample_reference(ref, grid: GridSpec) -> SpaceTimeField:
+    return sample(ref.eval, grid, name=type(ref).__name__)
 
 
 # -- diffusivity and stepping -------------------------------------------------

@@ -275,6 +275,17 @@ def test_eval_nodes_matches_per_call_reference(name):
         assert np.array_equal(src.eval_nodes(grid, t), ref)
 
 
+def test_eval_nodes_non_finite_source_raises():
+    grid = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 1.0, 3)  # x = 0 is a node
+    with pytest.raises(EvaluationFailure):
+        SourceTerm(ClosedForm("rough_power", {"sigma": 0.4})).eval_nodes(grid, 0.0)
+    # a t-dependent form is checked at every call, here singular at t = t_ref only
+    src = SourceTerm(ClosedForm("power_spacetime", {"s_t": -0.5, "t_ref": 0.5}))
+    assert np.isfinite(src.eval_nodes(grid, 0.25)).all()
+    with np.errstate(divide="ignore"), pytest.raises(EvaluationFailure):
+        src.eval_nodes(grid, 0.5)
+
+
 def test_eval_nodes_t_free_is_read_only_and_shared():
     grid = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 9, 11, 0.0, 1.0, 3)
     src = SourceTerm(ClosedForm("gaussian", {"center": (0.1, -0.2)}))
@@ -358,15 +369,16 @@ def test_t_free_catalog_entries_ignore_t(case, t1, t2):
 
 
 BAD_CONTAINERS = {
-    "truncated payload": lambda h, p: (json.dumps(h).encode(), p[:-3]),
-    "payload one value short": lambda h, p: (json.dumps(h).encode(), p[:-8]),
-    "oversized payload": lambda h, p: (json.dumps(h).encode(), p + bytes(8)),
-    "header not json": lambda h, p: (b'{"dim": 1,', p),
-    "header not utf-8": lambda h, p: (b"\xff\xfe", p),
-    "header not an object": lambda h, p: (b"[1, 2]", p),
-    "header missing nt": lambda h, p: (json.dumps({k: v for k, v in h.items() if k != "nt"}).encode(), p),
-    "grid rejected": lambda h, p: (json.dumps({**h, "nx": [2]}).encode(), p),
-    "non-finite extent": lambda h, p: (json.dumps({**h, "x_extent": [[0, math.inf]]}).encode(), p),
+    "truncated payload": lambda m, h, p: (m, json.dumps(h).encode(), p[:-3]),
+    "payload one value short": lambda m, h, p: (m, json.dumps(h).encode(), p[:-8]),
+    "oversized payload": lambda m, h, p: (m, json.dumps(h).encode(), p + bytes(8)),
+    "header not json": lambda m, h, p: (m, b'{"dim": 1,', p),
+    "header not utf-8": lambda m, h, p: (m, b"\xff\xfe", p),
+    "header not an object": lambda m, h, p: (m, b"[1, 2]", p),
+    "header missing nt": lambda m, h, p: (m, json.dumps({k: v for k, v in h.items() if k != "nt"}).encode(), p),
+    "grid rejected": lambda m, h, p: (m, json.dumps({**h, "nx": [2]}).encode(), p),
+    "non-finite extent": lambda m, h, p: (m, json.dumps({**h, "x_extent": [[0, math.inf]]}).encode(), p),
+    "no magic line": lambda m, h, p: (b"HOLDERLAB-FIELD v0", json.dumps(h).encode(), p),
 }
 
 
@@ -375,7 +387,7 @@ def test_load_field_bad_container_raises_io_failure(tmp_path, unit_grid, case):
     p = tmp_path / "field.hlf"
     save_field(SpaceTimeField(unit_grid, np.zeros((unit_grid.nt, 101))), p)
     magic, header, payload = p.read_bytes().split(b"\n", 2)
-    header, payload = BAD_CONTAINERS[case](json.loads(header), payload)
+    magic, header, payload = BAD_CONTAINERS[case](magic, json.loads(header), payload)
     p.write_bytes(magic + b"\n" + header + b"\n" + payload)
     with pytest.raises(IoFailure):
         load_field(p)

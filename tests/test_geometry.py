@@ -27,6 +27,7 @@ from holderlab.fields import (
     expression,
     integrate_region,
     interpolate_eval,
+    rough_power_cap,
     sample,
 )
 from holderlab.geometry import (
@@ -245,6 +246,15 @@ def test_build_scaling_validation():
         build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=0, theta=1.5, gamma=0.5, alpha=1.0)
     with pytest.raises(InvalidScaleParameter, match="alpha must equal"):
         build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=1, theta=1.5, gamma=0.5, alpha=0.9)
+    # an exponent the kind pins may be given only with the pinned value
+    for kind, exps in ((ScalingKind.PPOISSON_NORMALIZE, dict(p=3.0, m=3.0)),
+                       (ScalingKind.PPOISSON_NORMALIZE, dict(p=3.0, a=2.0)),
+                       (ScalingKind.PME_NORMALIZE, dict(p=3.0, a=1.0, m=2.0))):
+        with pytest.raises(InvalidScaleParameter, match="pins"):
+            build_scaling(kind, rho=0.5, **exps)
+    # the pinned value itself is accepted: the time factors are rho^(p - 2) and rho^(m - 1 + 2a)
+    assert build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0, m=1.0, a=0.0).time_factor == 0.5
+    assert build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, p=2.0, a=1.0, m=2.0).time_factor == 0.125
 
 
 def test_unknown_scaling_kind_raises_value_error():
@@ -440,13 +450,21 @@ def _smallness_fields(g):
     return u, f
 
 
+def _rough_smallness_fields(g):
+    """A small u and the capped rough_power source near the origin, which binds the search."""
+    u = sample(lambda *a: 0.5 + 0.2 * np.cos(0.7 * sum(a[:-1])) * (1.0 - 0.1 * a[-1]), g)
+    cap = rough_power_cap(0.4, g.dx[0])
+    f = sample(expression("rough_power", sigma=0.4, cap=cap, center=0.3 * g.dx[0]), g)
+    return u, f
+
+
 def test_witness_time_levels_put_a_g1_cell_centre_on_the_bottom_face():
     centres = SMALLNESS_GRIDS[0].t_cell_centers
     assert np.abs(centres + 1.0).min() < 1e-12
 
 
 @pytest.mark.parametrize("g", SMALLNESS_GRIDS, ids=["1d_witness_times", "2d"])
-@pytest.mark.parametrize("family", ["pparabolic", "pme", "dnl"])
+@pytest.mark.parametrize("family", ["pparabolic", "pme", "dnl", "dnl_rough"])
 def test_smallness_search_equals_full_grid_loop(g, family):
     u, f = _smallness_fields(g)
     if family == "dnl":
@@ -457,6 +475,12 @@ def test_smallness_search_equals_full_grid_loop(g, family):
         res = pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0)
         ref = _full_grid_search(ScalingKind.PPOISSON_NORMALIZE, dict(p=3.0), None, 3.0,
                                 u, f, 4.0, 4.0)
+    elif family == "dnl_rough":
+        u, f = _rough_smallness_fields(g)
+        res = smallness(EquationParams.doubly_nonlinear(3.0, 2.0, g.dim), u, f, 10.0, 10.0)
+        ref = _full_grid_search(ScalingKind.DNL_NORMALIZE, dict(p=3.0, a=1.0, m=2.0), 1, math.inf,
+                                u, f, 10.0, 10.0)
+        assert res.v_norm < 0.5  # the source, not v, stops the search
     else:
         res = pme_smallness(u, f, m=2.0, q=10.0, r=10.0)
         ref = _full_grid_search(ScalingKind.PME_NORMALIZE, dict(a=1.0, m=2.0), 1, math.inf,
@@ -521,6 +545,8 @@ def test_pme_smallness_without_a_positive_exponent_raises_before_any_candidate(m
     monkeypatch.setattr(geometry, "build_scaling",
                         lambda *args, **kw: calls.append(1) or real(*args, **kw))
     with pytest.raises(SmallnessSearchFailed, match="no integer a <= 64"):
+        pme_smallness(u, f, m=2.0, q=1.0, r=1.01)
+    with pytest.raises(SmallnessSearchFailed, match="exponent is -0.98 <= 0 at a = 1"):
         pme_smallness(u, f, m=2.0, q=1.0, r=1.01)
     assert calls == []
 

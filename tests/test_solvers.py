@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holderlab.errors import BlowUp, GridTooCoarse, OutsideValidity, UnstableConfig
+from holderlab.errors import (
+    BlowUp,
+    EvaluationFailure,
+    GridTooCoarse,
+    OutsideValidity,
+    UnstableConfig,
+)
 from holderlab.exponents import EquationKind, EquationParams
 from holderlab.fields import ClosedForm, GridSpec, SourceTerm, expression, sample
 from holderlab.solvers import (
@@ -277,6 +283,14 @@ def test_non_finite_init_blows_up_at_step_0(params, bad):
     with pytest.raises(BlowUp) as exc:
         solve(params, None, init, g)
     assert (exc.value.step_index, exc.value.time) == (0, 0.5)
+
+
+def test_non_finite_source_raises_evaluation_failure():
+    # heat's D never reads u, so the d_max check would not see the inf node of f
+    g = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 0.01, 3)
+    source = SourceTerm(ClosedForm("rough_power", {"sigma": 0.4}))  # uncapped: inf at x = 0
+    with pytest.raises(EvaluationFailure):
+        solve(EquationParams.heat(1), source, np.zeros(21), g)
 
 
 def test_unstable_config_step_budget():

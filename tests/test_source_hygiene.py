@@ -73,3 +73,37 @@ def test_module_level_imports_point_to_an_earlier_layer(module):
     imported = {stmt.module or alias.name for stmt in MODULES[module].body
                 if isinstance(stmt, ast.ImportFrom) and stmt.level == 1 for alias in stmt.names}
     assert sorted(imported - set(LAYERS[:LAYERS.index(module)])) == []
+
+
+ROOT = SRC.parent.parent
+# every call in the package, its tests and its benchmark
+CALLS = [node for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
+         for path in sorted(folder.glob("*.py"))
+         for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.Call)]
+
+
+def _may_set(call, index, name) -> bool:
+    """Whether ``call`` can set the parameter ``name``, positional number ``index`` (or None)."""
+    return (index is not None and len(call.args) > index
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg in (name, None) for kw in call.keywords))
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_defaulted_parameter_is_set_by_some_call(module):
+    never_set = []
+    for fn in ast.walk(MODULES[module]):
+        # a catalog factory's parameters arrive through ``ClosedForm`` as a dict
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_make_"):
+            continue
+        positional = [arg.arg for arg in fn.args.posonlyargs + fn.args.args]
+        if positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]  # bound by the call's receiver
+        defaulted = positional[len(positional) - len(fn.args.defaults):] + [
+            arg.arg for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default]
+        calls = [call for call in CALLS
+                 if getattr(call.func, "id", getattr(call.func, "attr", None)) == fn.name]
+        never_set += [f"{fn.name}({name})" for name in defaulted
+                      if not any(_may_set(call, positional.index(name) if name in positional
+                                          else None, name) for call in calls)]
+    assert never_set == []

@@ -128,17 +128,11 @@ class SourceIntegrability:
                 raise ValueError(f"{name} must lie in (1, inf], got {v}")
 
 
-class Provenance(Enum):
-    KNOWN = "known"
-    ASSUMED = "assumed"
-
-
 @dataclass(frozen=True)
 class HomogeneousExponent:
     """Optimal Holder exponent of the source-free equation, in (0, 1]."""
 
     value: float
-    provenance: Provenance = Provenance.ASSUMED
 
     def __post_init__(self):
         if not (0.0 < self.value <= 1.0):
@@ -264,15 +258,14 @@ def check_admissibility(params: EquationParams, integ: SourceIntegrability) -> A
 
 
 def _default_homogeneous(params: EquationParams) -> HomogeneousExponent:
-    """min{1, 1/(m-1)}: 1 for m = 1 in every n; for m > 1 known only in n = 1."""
+    """min{1, 1/(m-1)}: 1 for m = 1 in every n; for m > 1 known only in n = 1, and
+    only assumed, not known, for the doubly nonlinear family (p != 2)."""
     if params.n != 1 and params.m != 1.0:
         raise MissingHomogeneousExponent(
             f"the optimal homogeneous exponent for {params.kind.value} in n={params.n} "
             "is unknown; supply it explicitly"
         )
-    value = 1.0 / max(1.0, params.m - 1.0)  # min{1, 1/(m-1)}, and 1 at m = 1
-    prov = Provenance.ASSUMED if params.kind is EquationKind.DOUBLY_NONLINEAR else Provenance.KNOWN
-    return HomogeneousExponent(value, prov)
+    return HomogeneousExponent(1.0 / max(1.0, params.m - 1.0))
 
 
 def sharp_exponents(

@@ -355,7 +355,8 @@ def _make_power_abs(s=0.75, center=None, scale=1.0):
 def _make_power_spacetime(s_x=0.75, s_t=0.5, t_ref=0.0, center=None, cx=1.0, ct=1.0):
     def fn(*a):
         *xs, t = a
-        return cx * np.sqrt(_dist2(xs, center)) ** s_x + ct * np.abs(t_ref - np.asarray(t)) ** s_t
+        with np.errstate(divide="ignore"):  # a negative power is inf at its centre
+            return cx * np.sqrt(_dist2(xs, center)) ** s_x + ct * np.abs(t_ref - np.asarray(t)) ** s_t
     return fn
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "Boundary",
     "SolverConfig",
     "HeatSeparable",
-    "HeatKernel",
     "BarenblattPME",
     "PowerProfile",
     "reference_eval",
@@ -54,7 +53,7 @@ class Boundary(Enum):
     PERIODIC = "periodic"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Discretization knobs.
 
@@ -96,22 +95,6 @@ class HeatSeparable:
         for x in xs:
             out = out * np.sin(freq * (np.asarray(x) - lo))
         return out
-
-
-@dataclass(frozen=True)
-class HeatKernel:
-    """Fundamental solution with total mass ``mass``; valid for t > 0."""
-
-    n: int = 1
-    mass: float = 1.0
-
-    def eval(self, *coords):
-        *xs, t = coords
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
-            raise OutsideValidity("heat kernel requires t > 0")
-        r2 = _dist2(xs)
-        return self.mass * (4.0 * math.pi * t) ** (-self.n / 2.0) * np.exp(-r2 / (4.0 * t))
 
 
 @dataclass(frozen=True)
@@ -251,7 +234,8 @@ class _Stepper:
         and the largest face D: each axis' ``(inner, (F_hi - F_lo) / h)`` on the nodes
         between two faces, then, on a PERIODIC boundary, each axis' wrapped-face flux
         into its first slab, ``(first, (F[first] - F[last]) / h)``. The differences
-        are fresh arrays owned by the caller; ``apply`` scales them by dt in place."""
+        are fresh arrays owned by the caller. ``apply`` scales them by dt and advances u,
+        both in place, so a multi-stage scheme must copy u and the differences it reuses."""
         if self.tangential:
             # |grad u|^2 on a face adds the other axis' node gradient, averaged onto it
             other = [_node_gradient(u, ax[-1], a) for a, ax in enumerate(self.axes)][::-1]
@@ -282,30 +266,27 @@ class _Stepper:
         return self.cfg.cfl_safety / (2.0 * d_max * self.inv_h2)
 
     def apply(self, u, dt, diffs, f_nodes):
-        """u after one step dt of the scheme, from ``fluxes(u)``, before the boundary;
-        the differences in ``diffs`` are left scaled by dt."""
-        out = u.copy()
+        """Advance u in place by one step dt of the scheme, from ``fluxes(u)``, before
+        the boundary; the differences in ``diffs`` are left scaled by dt."""
         for index, diff in diffs:
             diff *= dt
-            out[index] += diff
+            u[index] += diff
         if f_nodes is not None:
-            out += dt * f_nodes  # edge values are reset by the boundary condition
+            u += dt * f_nodes  # edge values are reset by the boundary condition
         if self.periodic:
             for _, _, _, first, last, _ in self.axes:
-                out[last] = out[first]
-        return out
+                u[last] = u[first]
 
 
 def _boundary_setter(cfg, grid, oracle) -> Callable:
-    """(u, t) -> u imposing ``cfg.boundary``, edge by edge over (axis, first/last)."""
+    """(u, t) -> None imposing ``cfg.boundary`` in place, edge by edge over (axis, first/last)."""
     if cfg.boundary is Boundary.PERIODIC:
-        return lambda u, t: u
+        return lambda u, t: None
     edges = [_axis_index(grid.dim, a, i) for a in range(grid.dim) for i in (0, -1)]
     if cfg.boundary is Boundary.DIRICHLET_ZERO:
         def set_zero(u, t):
             for edge in edges:
                 u[edge] = 0.0
-            return u
         return set_zero
     if oracle is None:
         raise ValueError("dirichlet_oracle boundary requires a reference solution")
@@ -315,7 +296,6 @@ def _boundary_setter(cfg, grid, oracle) -> Callable:
     def set_oracle(u, t):
         for edge, xs in zip(edges, edge_coords):
             u[edge] = oracle.eval(*xs, np.full(xs[0].shape, t))
-        return u
     return set_oracle
 
 
@@ -356,7 +336,7 @@ def solve(
     if callable(init):
         u = np.asarray(init(*grid.node_mesh()), dtype=float).copy()
     else:
-        u = np.array(init, dtype=float)
+        u = np.array(init, dtype=float)  # a copy: the steps update u in place
     if u.shape != grid.spatial_shape():
         raise ValueError(f"init shape {u.shape} != grid spatial shape {grid.spatial_shape()}")
 
@@ -365,7 +345,7 @@ def solve(
 
     out = np.empty((grid.nt, *grid.spatial_shape()))
     t = float(grid.t_extent[0])
-    u = set_bc(u, t)
+    set_bc(u, t)
     if not np.isfinite(u).all():
         raise BlowUp(0, t)
     out[0] = u
@@ -379,9 +359,9 @@ def solve(
                 raise BlowUp(steps, t)
             dt = min(stepper.step(d_max), t_target - t)
             f_nodes = source.eval_nodes(grid, t) if source is not None else None
-            u = stepper.apply(u, dt, diffs, f_nodes)
+            stepper.apply(u, dt, diffs, f_nodes)
             t += dt
-            u = set_bc(u, t)
+            set_bc(u, t)
             steps += 1
             if steps > cfg.max_steps:
                 raise UnstableConfig(f"exceeded {cfg.max_steps} sub-steps at t={t:.6g}")

@@ -286,6 +286,15 @@ def test_eval_nodes_non_finite_source_raises():
         src.eval_nodes(grid, 0.5)
 
 
+def test_power_spacetime_singular_node_raises_evaluation_failure():
+    # with no errstate here: the form itself keeps numpy's divide warning quiet
+    grid = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 1.0, 3)  # x = 0 and t = 0.5 are nodes
+    with pytest.raises(EvaluationFailure):
+        sample(expression("power_spacetime", s_x=-0.5), grid)
+    with pytest.raises(EvaluationFailure):
+        SourceTerm(ClosedForm("power_spacetime", {"s_t": -0.5, "t_ref": 0.5})).eval_nodes(grid, 0.5)
+
+
 def test_eval_nodes_t_free_is_read_only_and_shared():
     grid = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 9, 11, 0.0, 1.0, 3)
     src = SourceTerm(ClosedForm("gaussian", {"center": (0.1, -0.2)}))

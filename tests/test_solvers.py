@@ -1,5 +1,6 @@
 """Solver validation against closed-form oracles and scheme invariants."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from holderlab.fields import ClosedForm, GridSpec, SourceTerm, expression, sampl
 from holderlab.solvers import (
     BarenblattPME,
     Boundary,
-    HeatKernel,
     HeatSeparable,
     PowerProfile,
     SolverConfig,
@@ -87,15 +87,6 @@ def test_barenblatt_free_boundary_exponent_closed_form():
         vals = ref.eval(rf - d, np.full_like(d, t))
         slope = np.polyfit(np.log(d), np.log(vals), 1)[0]
         assert abs(slope - 1.0 / (m - 1.0)) <= 0.02
-
-
-def test_heat_kernel_validity():
-    ref = HeatKernel(n=1, mass=2.0)
-    xs = np.linspace(-10, 10, 100_001)
-    mass = np.trapezoid(ref.eval(xs, np.full_like(xs, 0.3)), xs)
-    assert mass == pytest.approx(2.0, rel=1e-8)
-    with pytest.raises(OutsideValidity):
-        reference_eval(ref, (0.0, 0.0))
 
 
 def test_power_profile():
@@ -285,6 +276,25 @@ def test_non_finite_init_blows_up_at_step_0(params, bad):
     assert (exc.value.step_index, exc.value.time) == (0, 0.5)
 
 
+def test_mid_run_overflow_blows_up_at_the_end_of_its_level():
+    # heat's D is 1, so d_max stays finite and only the end-of-level check sees the inf
+    g = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 0.01, 3)
+    init = np.where(np.arange(21) % 2 == 0, 1e308, -1e308)
+    init[[0, -1]] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUp) as exc:
+        solve(EquationParams.heat(1), None, init, g)
+    assert (exc.value.step_index, exc.value.time) == (3, 0.005)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_leaves_the_callers_init_unchanged(dim):
+    g = GridSpec(dim, ((0.0, 1.0),) * dim, (17,) * dim, (0.0, 0.01), 3)
+    init = 0.6 * np.prod([np.sin(np.pi * x) for x in g.node_mesh()], axis=0) + 0.1
+    before = init.copy()
+    got = solve(EquationParams.pme(2.0, dim), None, init, g)
+    assert np.array_equal(init, before) and not np.array_equal(got.values[-1], before)
+
+
 def test_non_finite_source_raises_evaluation_failure():
     # heat's D never reads u, so the d_max check would not see the inf node of f
     g = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 0.01, 3)
@@ -470,11 +480,14 @@ def test_two_d_oracle_dirichlet_edges_equal_oracle():
 
 @pytest.mark.parametrize("call, error, match", [
     (lambda: SolverConfig(cfl_safety=0.0), ValueError, "cfl_safety"),
+    # frozen, so no assignment can get round the checks in __post_init__
+    (lambda: setattr(SolverConfig(), "cfl_safety", 5.0), dataclasses.FrozenInstanceError, "cfl_safety"),
     (lambda: solve(EquationParams.heat(1), None, np.zeros(5), heat_grid(11)), ValueError, "init shape"),
     (lambda: solve(EquationParams.heat(1), None, np.zeros(11), heat_grid(11),
                    SolverConfig(boundary=Boundary.DIRICHLET_FROM_ORACLE)), ValueError, "reference solution"),
     (lambda: BarenblattPME(m=2.0, n=1, mass=1.0).free_boundary_radius(0.0), OutsideValidity, "t > 0"),
-], ids=["cfl_safety_0", "init_shape", "oracle_boundary_without_oracle", "free_boundary_at_t_0"])
+], ids=["cfl_safety_0", "cfl_safety_assigned", "init_shape", "oracle_boundary_without_oracle",
+        "free_boundary_at_t_0"])
 def test_solvers_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()

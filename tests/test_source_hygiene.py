@@ -75,6 +75,25 @@ def test_module_level_imports_point_to_an_earlier_layer(module):
     assert sorted(imported - set(LAYERS[:LAYERS.index(module)])) == []
 
 
+def _dataclass_keywords(cls) -> dict | None:
+    """The keyword arguments of ``cls``'s ``@dataclass`` decorator, or None if it has none."""
+    for dec in cls.decorator_list:
+        call = dec if isinstance(dec, ast.Call) else None
+        if getattr(call.func if call else dec, "id", None) == "dataclass":
+            return {kw.arg: ast.literal_eval(kw.value) for kw in (call.keywords if call else [])}
+    return None
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_validating_dataclass_is_frozen(module):
+    # a check in __post_init__ holds only if no later assignment can bypass it
+    unfrozen = [cls.name for cls in ast.walk(MODULES[module]) if isinstance(cls, ast.ClassDef)
+                and (keywords := _dataclass_keywords(cls)) is not None
+                and not keywords.get("frozen")
+                and any(getattr(fn, "name", None) == "__post_init__" for fn in cls.body)]
+    assert unfrozen == []
+
+
 ROOT = SRC.parent.parent
 # every call in the package, its tests and its benchmark
 CALLS = [node for folder in (SRC, ROOT / "tests", ROOT / "perfbench")

@@ -202,7 +202,7 @@ def _axis_locate(u_coord, lo, h, n, what):
     """Fractional index with snapping so node lookups are exact."""
     u = (np.asarray(u_coord, dtype=float) - lo) / h
     span_tol = _EDGE_TOL * max(1.0, n - 1.0)
-    if np.any(u < -span_tol) or np.any(u > (n - 1) + span_tol):
+    if not (np.all(u >= -span_tol) and np.all(u <= (n - 1) + span_tol)):  # NaN fails both
         raise OutOfDomain(f"{what}-coordinate outside grid extent")
     u = np.clip(u, 0.0, n - 1.0)
     idx = np.minimum(np.floor(u).astype(int), n - 2)
@@ -289,12 +289,23 @@ def _region_cells(field: SpaceTimeField, region):
 def sample(fn: Callable, grid: GridSpec, name: str = "") -> SpaceTimeField:
     """Sample a closed-form expression ``fn(x[, y], t)`` node-exactly.
 
+    ``fn`` must broadcast t the way it broadcasts x: elementwise, with no Python
+    branch or reduction on t.  It is first called with the first two time nodes
+    as a column; a value with no time axis is the same at every time and fills
+    every level, otherwise ``fn`` is called once per level with a scalar t.  A
+    form that branches on t raises numpy's ``ValueError`` at that first call.
+
     Raises ``EvaluationFailure`` if the expression is singular at a node.
     """
     mesh = grid.node_mesh()
-    out = np.empty((grid.nt, *grid.spatial_shape()))
-    for k, t in enumerate(grid.t_nodes):
-        out[k] = np.broadcast_to(fn(*mesh, t), grid.spatial_shape())
+    shape = grid.spatial_shape()
+    out = np.empty((grid.nt, *shape))
+    value = fn(*mesh, grid.t_nodes[:2].reshape(2, *(1,) * grid.dim))
+    if np.ndim(value) <= grid.dim:
+        out[:] = np.broadcast_to(value, shape)
+    else:
+        for k, t in enumerate(grid.t_nodes):
+            out[k] = np.broadcast_to(fn(*mesh, t), shape)
     if not np.isfinite(out).all():
         raise EvaluationFailure("expression produced non-finite node values")
     return SpaceTimeField(grid, out, name=name)

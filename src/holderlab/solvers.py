@@ -156,7 +156,8 @@ class PowerProfile:
 
     def eval(self, *coords):
         *xs, _t = coords
-        return _dist2(xs, self.center) ** (self.s / 2.0)
+        with np.errstate(divide="ignore"):  # a negative power is inf at its centre
+            return _dist2(xs, self.center) ** (self.s / 2.0)
 
 
 def reference_eval(ref, point) -> float:

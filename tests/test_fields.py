@@ -29,6 +29,7 @@ from holderlab.fields import (
     save_field,
 )
 from holderlab.geometry import make_cylinder, p_avg_norm
+from holderlab.solvers import BarenblattPME, HeatSeparable, PowerProfile
 
 
 @pytest.fixture
@@ -147,6 +148,10 @@ def test_out_of_domain(unit_grid):
         interpolate_eval(f, (1.5, 0.5))
     with pytest.raises(OutOfDomain):
         interpolate_eval(f, (0.5, -0.5))
+    with pytest.raises(OutOfDomain):
+        interpolate_eval(f, (np.nan, 0.5))
+    with pytest.raises(OutOfDomain):
+        interpolate_eval(f, (0.5, np.nan))
 
 
 def test_integrate_constant_full_domain(unit_grid):
@@ -293,6 +298,66 @@ def test_power_spacetime_singular_node_raises_evaluation_failure():
         sample(expression("power_spacetime", s_x=-0.5), grid)
     with pytest.raises(EvaluationFailure):
         SourceTerm(ClosedForm("power_spacetime", {"s_t": -0.5, "t_ref": 0.5})).eval_nodes(grid, 0.5)
+
+
+def test_power_abs_singular_node_raises_evaluation_failure():
+    # with no errstate here: the profile itself keeps numpy's divide warning quiet
+    grid = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 1.0, 3)  # x = 0 is a node
+    with pytest.raises(EvaluationFailure):
+        sample(expression("power_abs", s=-0.5), grid)
+
+
+def _sample_per_level(fn, grid):
+    """Reference for ``sample``: one call of ``fn`` per time level, scalar t."""
+    mesh, shape = grid.node_mesh(), grid.spatial_shape()
+    out = np.empty((grid.nt, *shape))
+    for k, t in enumerate(grid.t_nodes):
+        out[k] = np.broadcast_to(fn(*mesh, t), shape)
+    return out
+
+
+GRID_1D = GridSpec.one_d(-1.0, 1.0, 41, 0.1, 1.0, 7)  # t > 0 for the Barenblatt profile
+GRID_2D = GridSpec.two_d((-1.0, 1.0), (-1.5, 1.0), 17, 13, 0.1, 1.0, 6)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_sample_matches_per_level_loop_catalog(name):
+    fn = expression(name, **CATALOG_PARAMS[name])
+    assert sample(fn, GRID_1D).values.tobytes() == _sample_per_level(fn, GRID_1D).tobytes()
+
+
+@pytest.mark.parametrize("ref, grid", [
+    (BarenblattPME(m=2.0, n=1, mass=0.5), GRID_1D),
+    (BarenblattPME(m=3.0, n=2), GRID_2D),
+    (HeatSeparable(n=1, extent=(-1.0, 1.0), mode=2), GRID_1D),
+    (HeatSeparable(n=2, extent=(-1.5, 1.0)), GRID_2D),
+    (PowerProfile(0.6, (0.1,)), GRID_1D),
+    (PowerProfile(0.75, (0.1, -0.2)), GRID_2D),
+], ids=lambda v: type(v).__name__ if not isinstance(v, GridSpec) else f"{v.dim}d")
+def test_sample_matches_per_level_loop_reference(ref, grid):
+    assert sample(ref.eval, grid).values.tobytes() == _sample_per_level(ref.eval, grid).tobytes()
+
+
+def test_sample_calls_a_time_free_form_once():
+    calls = []
+
+    def counted(fn):
+        def wrapper(*a):
+            calls.append(a[-1])
+            return fn(*a)
+        return wrapper
+
+    sample(counted(expression("power_abs")), GRID_1D)
+    assert len(calls) == 1
+    calls.clear()
+    sample(counted(expression("bump")), GRID_1D)
+    assert len(calls) == GRID_1D.nt + 1
+
+
+def test_sample_rejects_a_form_that_branches_on_t():
+    # t must broadcast like x; a Python branch on t fails at the two-level probe
+    with pytest.raises(ValueError, match="ambiguous"):
+        sample(lambda x, t: x if t < 0.5 else 2 * x, GRID_1D)
 
 
 def test_eval_nodes_t_free_is_read_only_and_shared():

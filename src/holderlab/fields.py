@@ -1,13 +1,13 @@
 """Uniform space-time grids and sampled scalar fields.
 
 Fields are stored dense, row-major, time-outer (shape ``(nt, nx)`` in 1D,
-``(nt, nx0, nx1)`` in 2D).  A field is frozen, keeps nothing derived from its
-values, and holds ``values`` as a read-only view of the caller's array, not a
-copy.  A region read averages or scans only the block that holds the region.
-Off-node values blend linearly along one axis after another (multilinear
-interpolation), which keeps them inside the node range of their cell.
-Quadrature is the composite midpoint rule over space-time cells whose
-centers fall in the requested region.
+``(nt, nx0, nx1)`` in 2D); a time-free sample stores one row with time stride 0.
+A field is frozen, keeps nothing derived from its values, and holds ``values``
+as a read-only view of the caller's array, not a copy.  A region read averages
+or scans only the block that holds the region.  Off-node values blend linearly
+along one axis after another (multilinear interpolation), which keeps them
+inside the node range of their cell.  Quadrature is the composite midpoint rule
+over space-time cells whose centers fall in the requested region.
 """
 
 from __future__ import annotations
@@ -139,7 +139,10 @@ class GridSpec:
 class SpaceTimeField:
     """Sampled scalar field on a :class:`GridSpec`; ``values`` is a read-only view.
 
-    Fields compare and hash by identity: a value comparison would scan every node.
+    ``values`` may have time stride 0 (one row seen at every level, as ``sample``
+    returns for a time-free form); its one row is all that is checked.  A caller
+    who needs a writable copy takes ``np.array(field.values)``.  Fields compare
+    and hash by identity: a value comparison would scan every node.
     """
 
     grid: GridSpec
@@ -153,7 +156,7 @@ class SpaceTimeField:
         values.flags.writeable = False
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape} != grid shape {expected}")
-        if not np.isfinite(values).all():
+        if not np.isfinite(values[:1] if values.strides[0] == 0 else values).all():
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", values)
 
@@ -192,9 +195,9 @@ def _node_gradient(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
 def _cell_average(values: np.ndarray) -> np.ndarray:
     """Time-outer node values averaged onto cell centres, one axis after another."""
     c = values
-    for axis in range(values.ndim):
-        c = 0.5 * (c[_axis_index(c.ndim, axis, slice(None, -1))]
-                   + c[_axis_index(c.ndim, axis, slice(1, None))])
+    for axis in range(values.ndim):  # halved in place: two block-sized arrays at most
+        c = c[_axis_index(c.ndim, axis, slice(None, -1))] + c[_axis_index(c.ndim, axis, slice(1, None))]
+        c *= 0.5
     return c
 
 
@@ -291,24 +294,28 @@ def sample(fn: Callable, grid: GridSpec, name: str = "") -> SpaceTimeField:
 
     ``fn`` must broadcast t the way it broadcasts x: elementwise, with no Python
     branch or reduction on t.  It is first called with the first two time nodes
-    as a column; a value with no time axis is the same at every time and fills
-    every level, otherwise ``fn`` is called once per level with a scalar t.  A
-    form that branches on t raises numpy's ``ValueError`` at that first call.
+    as a column; a value with no time axis is the same at every time, and the
+    field's ``values`` is then one row seen at every level (a read-only view with
+    time stride 0; ``np.array(field.values)`` is a writable copy).  Otherwise
+    ``fn`` is called once per level with a scalar t.  A form that branches on t
+    raises numpy's ``ValueError`` at that first call.
 
     Raises ``EvaluationFailure`` if the expression is singular at a node.
     """
     mesh = grid.node_mesh()
     shape = grid.spatial_shape()
-    out = np.empty((grid.nt, *shape))
     value = fn(*mesh, grid.t_nodes[:2].reshape(2, *(1,) * grid.dim))
     if np.ndim(value) <= grid.dim:
-        out[:] = np.broadcast_to(value, shape)
+        row = np.array(np.broadcast_to(value, shape), dtype=float)
+        out = np.broadcast_to(row, (grid.nt, *shape))
     else:
+        out = np.empty((grid.nt, *shape))
         for k, t in enumerate(grid.t_nodes):
             out[k] = np.broadcast_to(fn(*mesh, t), shape)
-    if not np.isfinite(out).all():
-        raise EvaluationFailure("expression produced non-finite node values")
-    return SpaceTimeField(grid, out, name=name)
+    try:  # the field's own scan is the only one: one row when time-free
+        return SpaceTimeField(grid, out, name=name)
+    except ValueError as exc:  # the shape is the grid's, so only finiteness fails
+        raise EvaluationFailure("expression produced non-finite node values") from exc
 
 
 def interpolate_eval(field: SpaceTimeField, point) -> float:
@@ -343,7 +350,7 @@ def _dist2(xs, center=None):
 
 
 def _make_constant(value=1.0):
-    return lambda *a: np.full(np.broadcast(*a).shape, float(value))
+    return lambda *a: np.full(np.broadcast(*a[:-1]).shape, float(value))  # no t axis: sampled once
 
 
 def _make_affine(slopes=(1.0,), t_slope=0.0, offset=0.0):

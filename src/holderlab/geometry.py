@@ -148,7 +148,7 @@ def sup_oscillation(field: SpaceTimeField, cyl: IntrinsicCylinder):
     if box is None:
         return 0.0, abs(center_val)
     index, mask = box
-    nodes = field.values[index][:, mask]
+    nodes = field.values[index] if mask.all() else field.values[index][:, mask]  # a view in 1D
     vmax = max(float(nodes.max()), center_val)
     vmin = min(float(nodes.min()), center_val)
     return vmax - vmin, max(abs(vmax), abs(vmin))

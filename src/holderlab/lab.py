@@ -94,7 +94,10 @@ def _golden_best_constant(vals: np.ndarray, p: float):
         return 0.5 * (lo + hi), 0.0
 
     def h(c):
-        return float((np.abs(vals - c) ** p).mean())
+        d = vals - c  # |v - c|^p in one buffer
+        np.abs(d, out=d)
+        d **= p
+        return float(d.mean())
 
     if p == 2.0:
         c = float(vals.mean())
@@ -171,12 +174,12 @@ def oscillation_profile(
     for k, tau, cyl in _walk_ladder(g, center, theta, lam, k_max, base_radius):
         osc, sup_abs = sup_oscillation(field, cyl)
         try:
-            vals, _ = _region_cells(field, cyl)
+            vals = _region_cells(field, cyl)[0].ravel()  # frees the F-ordered cells
         except EmptyIntersection:
             if k == 0:
                 raise
             break
-        c_k, dist = _golden_best_constant(vals.ravel(), p)
+        c_k, dist = _golden_best_constant(vals, p)
         levels.append(ProfileLevel(k, tau, osc, sup_abs, dist, c_k))
     return OscillationProfile(
         tuple(center), theta, lam, k_max, base_radius, p, tuple(levels), max(g.dx), g.dt

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holderlab.errors import EmptyIntersection, EvaluationFailure, IoFailure, OutOfDomain
 from holderlab.fields import (
@@ -20,6 +21,7 @@ from holderlab.fields import (
     Rectangle,
     SourceTerm,
     SpaceTimeField,
+    _cell_average,
     expression,
     integrate_region,
     interpolate_eval,
@@ -465,6 +467,75 @@ def test_load_field_bad_container_raises_io_failure(tmp_path, unit_grid, case):
     p.write_bytes(magic + b"\n" + header + b"\n" + payload)
     with pytest.raises(IoFailure):
         load_field(p)
+
+
+@pytest.mark.parametrize("name", ["zero", "constant"])
+def test_sample_calls_zero_and_constant_once(name):
+    calls = []
+
+    def counted(*a):
+        calls.append(a[-1])
+        return expression(name)(*a)
+
+    f = sample(counted, GridSpec.one_d(0.0, 1.0, 101, 0.0, 1.0, 51))
+    assert len(calls) == 1
+    assert f.values.strides[0] == 0
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+def test_time_free_sample_stores_one_row(grid):
+    f = sample(PowerProfile(0.6, (0.1,) * grid.dim).eval, grid)
+    assert not f.values.flags.writeable
+    assert f.values.strides[0] == 0
+    assert _owner(f.values).nbytes == 8 * math.prod(grid.nx)
+
+
+def test_time_free_field_saves_every_level(tmp_path):
+    f = sample(expression("gaussian", center=0.2), GRID_1D, name="g")
+    save_field(f, tmp_path / "view.hlf")
+    save_field(SpaceTimeField(GRID_1D, np.array(f.values), name="g"), tmp_path / "copy.hlf")
+    assert (tmp_path / "view.hlf").read_bytes() == (tmp_path / "copy.hlf").read_bytes()
+    g = load_field(tmp_path / "view.hlf")
+    assert g.values.strides[0] != 0
+    assert g.values.tobytes() == f.values.tobytes()
+
+
+def test_field_finiteness_check_sees_every_row_it_holds():
+    values = np.zeros((GRID_1D.nt, *GRID_1D.nx))
+    values[-1, 3] = np.nan  # only in the last row of an ordinary array
+    with pytest.raises(ValueError, match="non-finite"):
+        SpaceTimeField(GRID_1D, values)
+    row = np.zeros(GRID_1D.nx)
+    row[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        SpaceTimeField(GRID_1D, np.broadcast_to(row, values.shape))
+
+
+@pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+def test_cell_values_of_a_one_row_field_match_its_copy(grid):
+    f = sample(PowerProfile(0.75, (0.1,) * grid.dim).eval, grid)
+    copy = SpaceTimeField(grid, np.array(f.values))
+    assert f.cell_values().tobytes() == copy.cell_values().tobytes()
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=4, min_side=2, max_side=6),
+                  elements=st.floats(-1e6, 1e6)))
+def test_cell_average_is_the_per_axis_half_sum(values):
+    expected = values
+    for axis in range(values.ndim):
+        lo = np.take(expected, np.arange(expected.shape[axis] - 1), axis=axis)
+        hi = np.take(expected, np.arange(1, expected.shape[axis]), axis=axis)
+        expected = 0.5 * (lo + hi)
+    values.flags.writeable = False
+    got = _cell_average(values)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 # -- fields are values ----------------------------------------------------------

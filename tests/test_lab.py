@@ -24,10 +24,11 @@ from holderlab.fields import (
     SpaceTimeField,
     _cell_average,
     _node_gradient,
+    _region_cells,
     expression,
     sample,
 )
-from holderlab.geometry import ScalingKind, apply_scaling, build_scaling
+from holderlab.geometry import IntrinsicCylinder, ScalingKind, apply_scaling, build_scaling
 from holderlab.lab import (
     OscillationProfile,
     _golden_best_constant,
@@ -547,3 +548,24 @@ def test_caccioppoli_allocates_about_one_field():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * f.values.nbytes
+
+
+@pytest.mark.parametrize("grid, center", [
+    (GridSpec.one_d(-1.0, 1.0, 1601, 0.0, 1.0, 401), (0.013, 1.0)),
+    (GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 129, 129, 0.0, 1.0, 151), (0.01, 0.02, 1.0)),
+], ids=["1d", "2d"])
+def test_ladder_allocates_about_two_level_blocks(grid, center):
+    """A ladder holds at most two arrays of its base level's cell size at once: the
+    cell average halves in place, the masked cells are freed once flattened, and
+    |v - c|^p is formed in one buffer."""
+    rng = np.random.default_rng(3)
+    f = SpaceTimeField(grid, rng.normal(size=(grid.nt, *grid.nx)))
+    oscillation_profile(f, center, 2.0, 0.5, 4, base_radius=0.9)  # first-call setup
+    cells = _region_cells(f, IntrinsicCylinder(center[:-1], center[-1], 0.9, 2.0))[0].nbytes
+    tracemalloc.start()
+    try:
+        oscillation_profile(f, center, 2.0, 0.5, 4, base_radius=0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * cells

@@ -33,7 +33,6 @@ __all__ = [
     "ClosedForm",
     "SourceTerm",
     "CATALOG",
-    "T_FREE",
     "expression",
     "sample",
     "interpolate_eval",
@@ -140,9 +139,11 @@ class SpaceTimeField:
     """Sampled scalar field on a :class:`GridSpec`; ``values`` is a read-only view.
 
     ``values`` may have time stride 0 (one row seen at every level, as ``sample``
-    returns for a time-free form); its one row is all that is checked.  A caller
-    who needs a writable copy takes ``np.array(field.values)``.  Fields compare
-    and hash by identity: a value comparison would scan every node.
+    returns for a time-free form).  Then its one row is all that is checked, and
+    ``interp``, the cell reads and ``geometry.sup_oscillation`` do their spatial
+    work on that row once, with the same bits as on a copy of every level.  A
+    caller who needs a writable copy takes ``np.array(field.values)``.  Fields
+    compare and hash by identity: a value comparison would scan every node.
     """
 
     grid: GridSpec
@@ -161,13 +162,21 @@ class SpaceTimeField:
         object.__setattr__(self, "values", values)
 
     def cell_values(self) -> np.ndarray:
-        """Interpolated values at every space-time cell center."""
+        """Interpolated values at every space-time cell center; of a field with
+        time stride 0, a read-only view with time stride 0 of one row of cells."""
         return _cell_average(self.values)
 
     def interp(self, *coords) -> np.ndarray:
-        """Multilinear interpolation; ``coords`` is (x[, y], t) arrays."""
-        *xs, ts = coords
+        """Multilinear interpolation at ``coords = (x[, y], t)``, one array (or
+        scalar) per axis, broadcast together; the result has their broadcast shape.
+
+        Raises ``ValueError`` unless there is one coordinate per axis, and
+        ``OutOfDomain`` for a point outside the grid.
+        """
         g = self.grid
+        if len(coords) != g.dim + 1:
+            raise ValueError(f"interp takes {g.dim + 1} coordinates (x[, y], t), got {len(coords)}")
+        *xs, ts = coords
         locs = [_axis_locate(ts, g.t_extent[0], g.dt, g.nt, "t")]
         locs += [_axis_locate(x, g.x_extent[a][0], g.dx[a], g.nx[a], "x") for a, x in enumerate(xs)]
         return _lerp(self.values, locs, ())
@@ -193,12 +202,17 @@ def _node_gradient(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def _cell_average(values: np.ndarray) -> np.ndarray:
-    """Time-outer node values averaged onto cell centres, one axis after another."""
-    c = values
-    for axis in range(values.ndim):  # halved in place: two block-sized arrays at most
+    """Time-outer node values averaged onto cell centres, one axis after another,
+    halved in place: two block-sized arrays at most.  Values with time stride 0
+    skip the time pass, average their one row and return it as a read-only view
+    at ``nt - 1`` levels: the time pass's ``(r + r) * 0.5`` is r exactly for
+    |r| <= DBL_MAX / 2 (beyond that it overflowed to ±inf; this path gives r)."""
+    one_row = values.strides[0] == 0
+    c = values[:1] if one_row else values
+    for axis in range(int(one_row), values.ndim):
         c = c[_axis_index(c.ndim, axis, slice(None, -1))] + c[_axis_index(c.ndim, axis, slice(1, None))]
         c *= 0.5
-    return c
+    return np.broadcast_to(c, (values.shape[0] - 1, *c.shape[1:])) if one_row else c
 
 
 def _axis_locate(u_coord, lo, h, n, what):
@@ -216,12 +230,16 @@ def _axis_locate(u_coord, lo, h, n, what):
 
 def _lerp(values, locs, index):
     """Linear blend over axis ``len(index)`` of values blended over the axes after it;
-    ``locs[a]`` is axis a's (lower node, weight).  At module level, because a nested
-    function that calls itself is a reference cycle that keeps each call's arrays
-    alive until the cyclic garbage collector runs."""
+    ``locs[a]`` is axis a's (lower node, weight).  Values with time stride 0 blend
+    space on their one row, then time as the two-row blend does, with the same bits.
+    At module level, because a nested function that calls itself is a reference
+    cycle that keeps each call's arrays alive until the cyclic garbage collector runs."""
     if len(index) == len(locs):
         return values[index]
     i, w = locs[len(index)]
+    if not index and values.strides[0] == 0:
+        row = _lerp(values[0], locs[1:], ())
+        return row * (1 - w) + row * w
     return _lerp(values, locs, (*index, i)) * (1 - w) + _lerp(values, locs, (*index, i + 1)) * w
 
 
@@ -304,9 +322,8 @@ def sample(fn: Callable, grid: GridSpec, name: str = "") -> SpaceTimeField:
     """
     mesh = grid.node_mesh()
     shape = grid.spatial_shape()
-    value = fn(*mesh, grid.t_nodes[:2].reshape(2, *(1,) * grid.dim))
-    if np.ndim(value) <= grid.dim:
-        row = np.array(np.broadcast_to(value, shape), dtype=float)
+    row = _time_free_row(fn, mesh, grid.t_nodes[:2])
+    if row is not None:
         out = np.broadcast_to(row, (grid.nt, *shape))
     else:
         out = np.empty((grid.nt, *shape))
@@ -316,6 +333,16 @@ def sample(fn: Callable, grid: GridSpec, name: str = "") -> SpaceTimeField:
         return SpaceTimeField(grid, out, name=name)
     except ValueError as exc:  # the shape is the grid's, so only finiteness fails
         raise EvaluationFailure("expression produced non-finite node values") from exc
+
+
+def _time_free_row(fn: Callable, mesh: tuple, times) -> np.ndarray | None:
+    """``fn``'s values at the space nodes ``mesh`` as one contiguous float row if a
+    call with the two ``times`` as a column returns no time axis (the form is
+    time-free), else None."""
+    value = fn(*mesh, np.reshape(times, (2, *(1,) * len(mesh))))
+    if np.ndim(value) > len(mesh):
+        return None
+    return np.array(np.broadcast_to(value, mesh[0].shape), dtype=float)
 
 
 def interpolate_eval(field: SpaceTimeField, point) -> float:
@@ -480,10 +507,6 @@ CATALOG: dict[str, Callable] = {
     "rough_power": _make_rough_power,
 }
 
-# Catalog entries whose value ignores t: a source built from one of these has
-# the same node values at every time, so they are evaluated once per grid.
-T_FREE = frozenset({"zero", "constant", "power_abs", "gaussian", "trig_series", "rough_power"})
-
 
 def expression(name: str, **params) -> Callable:
     """Closed-form expression from the fixed catalog."""
@@ -519,11 +542,13 @@ class _NodePlan(NamedTuple):
 
     def at(self, t: float) -> np.ndarray:
         """Fresh node values of the form at time t; ``EvaluationFailure`` at a singular node."""
-        out = np.broadcast_to(np.asarray(self.fn(*self.mesh, t), dtype=float),
-                              self.grid.spatial_shape()).copy()
-        if not np.isfinite(out).all():
+        return self.finite(np.broadcast_to(np.asarray(self.fn(*self.mesh, t), dtype=float),
+                                           self.grid.spatial_shape()).copy(), t)
+
+    def finite(self, values: np.ndarray, t: float) -> np.ndarray:
+        if not np.isfinite(values).all():
             raise EvaluationFailure(f"source {self.form.expr!r} is not finite at a node at t = {t}")
-        return out
+        return values
 
 
 @dataclass
@@ -538,9 +563,10 @@ class SourceTerm:
     def eval_nodes(self, grid: GridSpec, t: float) -> np.ndarray:
         """Spatial node values of f at time t.
 
-        A catalog form in ``T_FREE`` is evaluated once per grid and the same
-        read-only array is returned at every t; other catalog forms return a
-        fresh array per call.
+        A catalog form is probed as ``sample`` probes, at the first call's t
+        twice.  A time-free one is evaluated once per grid and the same
+        read-only array is returned at every t; any other returns a fresh array
+        per call.
         """
         if isinstance(self.form, SpaceTimeField):
             mesh = grid.node_mesh()
@@ -552,11 +578,11 @@ class SourceTerm:
 
     def _node_plan(self, grid: GridSpec, t: float) -> _NodePlan:
         plan = _NodePlan(self.form, grid, grid.node_mesh(), self.form.fn(), None)
-        if self.form.expr not in T_FREE:
+        row = _time_free_row(plan.fn, plan.mesh, (t, t))
+        if row is None:
             return plan
-        values = plan.at(t)
-        values.flags.writeable = False
-        return plan._replace(values=values)
+        plan.finite(row, t).flags.writeable = False
+        return plan._replace(values=row)
 
     def as_field(self, grid: GridSpec) -> SpaceTimeField:
         if isinstance(self.form, SpaceTimeField):

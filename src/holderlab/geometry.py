@@ -148,7 +148,10 @@ def sup_oscillation(field: SpaceTimeField, cyl: IntrinsicCylinder):
     if box is None:
         return 0.0, abs(center_val)
     index, mask = box
-    nodes = field.values[index] if mask.all() else field.values[index][:, mask]  # a view in 1D
+    block = field.values[index]
+    if block.strides[0] == 0:  # one row seen at every level holds every extremum
+        block = block[:1]
+    nodes = block if mask.all() else block[:, mask]  # a view in 1D
     vmax = max(float(nodes.max()), center_val)
     vmin = min(float(nodes.min()), center_val)
     return vmax - vmin, max(abs(vmax), abs(vmin))

@@ -15,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 from holderlab.errors import EmptyIntersection, EvaluationFailure, IoFailure, OutOfDomain
 from holderlab.fields import (
     CATALOG,
-    T_FREE,
     ClosedForm,
     GridSpec,
     Rectangle,
@@ -426,8 +425,19 @@ T_FREE_PARAMS = {
 
 def test_param_tables_cover_catalog():
     assert set(CATALOG_PARAMS) == set(CATALOG)
-    assert set(T_FREE_PARAMS) == T_FREE
-    assert T_FREE <= set(CATALOG)
+    assert set(T_FREE_PARAMS) <= set(CATALOG)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_eval_nodes_reuses_one_array_exactly_for_time_free_forms(name):
+    grid = GridSpec.one_d(-1.0, 1.0, 41, 0.0, 1.0, 5)
+    src = SourceTerm(ClosedForm(name, CATALOG_PARAMS[name]))
+    first, second = src.eval_nodes(grid, 0.35), src.eval_nodes(grid, 0.8)
+    if name in T_FREE_PARAMS:
+        assert first is second and not first.flags.writeable
+    else:
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
 
 
 @given(
@@ -523,6 +533,74 @@ def test_cell_values_of_a_one_row_field_match_its_copy(grid):
     f = sample(PowerProfile(0.75, (0.1,) * grid.dim).eval, grid)
     copy = SpaceTimeField(grid, np.array(f.values))
     assert f.cell_values().tobytes() == copy.cell_values().tobytes()
+
+
+def _one_row_and_copy(grid, seed):
+    """A field of one random row at every level (time stride 0), and its copy."""
+    row = np.random.default_rng(seed).normal(size=grid.nx)
+    f = SpaceTimeField(grid, np.broadcast_to(row, (grid.nt, *grid.nx)))
+    return f, SpaceTimeField(grid, np.array(f.values))
+
+
+def _same_bits(a, b):
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+def test_interp_of_a_one_row_field_matches_its_copy(grid):
+    f, copy = _one_row_and_copy(grid, 5)
+    extents = (*grid.x_extent, grid.t_extent)
+    rng = np.random.default_rng(6)
+    off_node = [rng.uniform(lo, hi, 500) for lo, hi in extents]
+    mesh_and_time_column = (*grid.node_mesh(), grid.t_nodes.reshape(-1, *(1,) * grid.dim))
+    point = [lo + 0.37 * (hi - lo) for lo, hi in extents]
+    for coords in (off_node, mesh_and_time_column, point):
+        assert _same_bits(f.interp(*coords), copy.interp(*coords))
+    assert np.shape(f.interp(*mesh_and_time_column)) == (grid.nt, *grid.nx)
+
+
+@pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+def test_source_of_a_one_row_field_matches_its_copy(grid):
+    f, copy = _one_row_and_copy(grid, 7)
+    for t in (grid.t_nodes[0], grid.t_nodes[2], 0.5 * (grid.t_nodes[3] + grid.t_nodes[4]), grid.t_nodes[-1]):
+        assert _same_bits(SourceTerm(f).eval_nodes(grid, t), SourceTerm(copy).eval_nodes(grid, t))
+
+
+@pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+@pytest.mark.parametrize("one_row", [False, True], ids=["copy", "one_row"])
+def test_interp_needs_one_coordinate_per_axis(grid, one_row):
+    f = _one_row_and_copy(grid, 8)[0 if one_row else 1]
+    for n in sorted({1, grid.dim, grid.dim + 2} - {grid.dim + 1}):
+        with pytest.raises(ValueError, match="coordinates"):
+            f.interp(*[np.array([0.5])] * n)
+        with pytest.raises(ValueError, match="coordinates"):
+            interpolate_eval(f, (0.5,) * n)
+    assert np.shape(f.interp(*[np.array([0.5])] * (grid.dim + 1))) == (1,)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=6),
+                  elements=st.floats(-1e6, 1e6)),
+       st.integers(2, 6))
+def test_cell_average_of_one_row_matches_its_copy(row, nt):
+    values = np.broadcast_to(row, (nt, *row.shape))
+    got = _cell_average(values)
+    assert got.strides[0] == 0 and not got.flags.writeable
+    assert _same_bits(got, _cell_average(np.array(values)))
+
+
+def test_cell_average_of_one_row_allocates_one_row():
+    """Averaging a time stride 0 block costs one row of cells, not the whole block
+    (41 MB for the two block-sized arrays of the level-by-level average)."""
+    row = np.random.default_rng(4).normal(size=3201)
+    values = np.broadcast_to(row, (801, row.size))
+    _cell_average(values[:, :5])  # first-call setup
+    tracemalloc.start()
+    try:
+        _cell_average(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * row.nbytes
 
 
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=4, min_side=2, max_side=6),

@@ -668,6 +668,41 @@ def test_sup_oscillation_equals_whole_field_reference(g):
     assert len(cylinders) >= 24 and empty >= 1
 
 
+def _copy(f):
+    return SpaceTimeField(f.grid, np.array(f.values))
+
+
+@pytest.mark.parametrize("g", REGION_GRIDS, ids=["1d", "2d"])
+def test_sup_oscillation_of_a_one_row_field_matches_its_copy(g):
+    rng = np.random.default_rng(31 + g.dim)
+    f = SpaceTimeField(g, np.broadcast_to(rng.normal(size=g.nx), (g.nt, *g.nx)))
+    copy = _copy(f)
+    cylinders = [c for c in _random_regions(g, rng) if isinstance(c, IntrinsicCylinder) and c.contained_in(g)]
+    assert len(cylinders) >= 12
+    for cyl in cylinders:
+        assert sup_oscillation(f, cyl) == sup_oscillation(copy, cyl)
+
+
+@pytest.mark.parametrize("g", SMALLNESS_GRIDS, ids=["1d_witness_times", "2d"])
+@pytest.mark.parametrize("params", [lambda n: EquationParams.p_parabolic(3.0, n),
+                                    lambda n: EquationParams.pme(2.0, n),
+                                    lambda n: EquationParams.doubly_nonlinear(3.0, 2.0, n)],
+                         ids=["pparabolic", "pme", "dnl"])
+def test_smallness_of_one_row_fields_matches_their_copies(g, params):
+    u = sample(lambda *a: 0.5 + 0.2 * np.cos(0.7 * sum(a[:-1])), g)
+    f = sample(expression("rough_power", sigma=0.4, cap=rough_power_cap(0.4, g.dx[0]),
+                          center=0.3 * g.dx[0]), g)
+    assert u.values.strides[0] == 0 and f.values.strides[0] == 0
+    eq = params(g.dim)
+    res = smallness(eq, u, f, 10.0, 10.0)
+    ref = smallness(eq, _copy(u), _copy(f), 10.0, 10.0)
+    assert 1 < res.iterations <= 60
+    assert repr((res.rho, res.a, res.v_norm, res.f_norm, res.iterations)) == repr(
+        (ref.rho, ref.a, ref.v_norm, ref.f_norm, ref.iterations))
+    for got, want in ((res.v, ref.v), (res.f_scaled, ref.f_scaled)):
+        assert _same_bits(got.values, want.values)
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: apply_scaling(_unit_field(), build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0),
                            role="bogus"), ValueError, "role"),

@@ -569,3 +569,17 @@ def test_ladder_allocates_about_two_level_blocks(grid, center):
     finally:
         tracemalloc.stop()
     assert peak < 3.0 * cells
+
+
+@pytest.mark.parametrize("grid, center", [
+    (GridSpec.one_d(-1.0, 1.0, 401, -1.0, 0.0, 101), (0.013, 0.0)),
+    (GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 129, 129, -1.0, 0.0, 81), (0.02, -0.01, 0.0)),
+], ids=["1d", "2d"])
+def test_ladder_of_a_one_row_field_matches_its_copy(grid, center):
+    rng = np.random.default_rng(11)
+    f = SpaceTimeField(grid, np.broadcast_to(rng.normal(size=grid.nx), (grid.nt, *grid.nx)))
+    copy = SpaceTimeField(grid, np.array(f.values))
+    for p in (1.5, 2.0):
+        got = oscillation_profile(f, center, 2.0, 0.5, 6, p=p, base_radius=0.6).levels
+        assert len(got) >= 3
+        assert repr(got) == repr(oscillation_profile(copy, center, 2.0, 0.5, 6, p=p, base_radius=0.6).levels)

@@ -295,16 +295,27 @@ def _cell_reader(grid: GridSpec, region) -> tuple[tuple, Callable[[np.ndarray], 
     return tuple(slice(s.start, s.stop + 1) for s in index), lambda nodes: _cell_average(nodes)[:, mask]
 
 
-def _region_cells(field: SpaceTimeField, region):
-    """Cell-center values and counts for cells inside ``region``.
-
-    Returns (values_2d, n_slices) where values_2d has one row per time
-    slice inside the window, flattened spatial cells in the region's mask.
-    Only the node block one node wider than the region's cell block is averaged.
-    """
+def _region_cells(field: SpaceTimeField, region) -> np.ndarray:
+    """Cell-center values of the cells inside ``region``: one row per time slice
+    inside the window, flattened spatial cells in the region's mask.  Only the node
+    block one node wider than the region's cell block is averaged."""
     nodes, cells = _cell_reader(field.grid, region)
-    flat = cells(field.values[nodes])
-    return flat, flat.shape[0]
+    return cells(field.values[nodes])
+
+
+def _region_nodes(field: SpaceTimeField, region) -> np.ndarray | None:
+    """Node values in ``region``'s time window and space mask, one row per level, or
+    only the first row when the field is time-free (every row is the same); None if
+    the region holds no node.  A view when the mask is the whole block, as in 1D."""
+    g = field.grid
+    box = _region_box(g.t_nodes, g.node_mesh(), region)
+    if box is None:
+        return None
+    index, mask = box
+    block = field.values[index]
+    if block.strides[0] == 0:
+        block = block[:1]
+    return block if mask.all() else block[:, mask]
 
 
 def sample(fn: Callable, grid: GridSpec, name: str = "") -> SpaceTimeField:
@@ -356,14 +367,13 @@ def integrate_region(field: SpaceTimeField, region, weight_power: float = 1.0) -
 
     Cells participate when their space-time center lies in the region.
     """
-    flat, _ = _region_cells(field, region)
+    flat = _region_cells(field, region)
     return float((np.abs(flat) ** weight_power).sum() * field.grid.cell_volume)
 
 
 def covered_measure(field: SpaceTimeField, region) -> float:
     """Total volume of the cells the midpoint rule assigns to the region."""
-    flat, _ = _region_cells(field, region)
-    return float(flat.size * field.grid.cell_volume)
+    return float(_region_cells(field, region).size * field.grid.cell_volume)
 
 
 # -- closed-form expression catalog -----------------------------------------

@@ -174,7 +174,7 @@ def oscillation_profile(
     for k, tau, cyl in _walk_ladder(g, center, theta, lam, k_max, base_radius):
         osc, sup_abs = sup_oscillation(field, cyl)
         try:
-            vals = _region_cells(field, cyl)[0].ravel()  # frees the F-ordered cells
+            vals = _region_cells(field, cyl).ravel()  # frees the F-ordered cells
         except EmptyIntersection:
             if k == 0:
                 raise
@@ -192,7 +192,7 @@ class HolderFit:
     log_constant: float
     r_squared: float
     window: tuple[int, int]
-    n_excluded_zero: int = 0
+    n_excluded_zero: int
 
 
 def _loglog_fit(radii, values, window, n_excluded):

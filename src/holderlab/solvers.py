@@ -38,7 +38,6 @@ __all__ = [
     "HeatSeparable",
     "BarenblattPME",
     "PowerProfile",
-    "reference_eval",
     "sample_reference",
     "solve",
     "stable_dt",
@@ -82,7 +81,7 @@ class SolverConfig:
 class HeatSeparable:
     """Product sine mode with exponential decay on a box, n = 1 or 2."""
 
-    n: int = 1
+    n: int
     extent: tuple[float, float] = (0.0, 1.0)
     amplitude: float = 1.0
     mode: int = 1
@@ -107,7 +106,7 @@ class BarenblattPME:
     and C is fixed so the (conserved) total mass equals ``mass``.
     """
 
-    m: float = 2.0
+    m: float
     n: int = 1
     mass: float = 1.0
 
@@ -151,19 +150,13 @@ class BarenblattPME:
 class PowerProfile:
     """Static radial power |x - center|^s."""
 
-    s: float = 0.75
+    s: float
     center: tuple[float, ...] | None = None  # None: the origin
 
     def eval(self, *coords):
         *xs, _t = coords
         with np.errstate(divide="ignore"):  # a negative power is inf at its centre
             return _dist2(xs, self.center) ** (self.s / 2.0)
-
-
-def reference_eval(ref, point) -> float:
-    """Closed-form value at a space-time point ``(x[, y], t)``."""
-    *xs, t = point
-    return float(ref.eval(*[np.asarray(x, dtype=float) for x in xs], np.asarray(float(t))))
 
 
 def sample_reference(ref, grid: GridSpec) -> SpaceTimeField:

@@ -18,10 +18,7 @@ from holderlab.exponents import (
     dnl_source_bound,
     dnl_theta,
     p_monotonicity_sign,
-    pme_source_bound,
-    pme_theta,
     pparabolic_alpha,
-    pparabolic_theta,
     sharp_exponents,
 )
 
@@ -45,6 +42,11 @@ def rational_pme_bound(m, n, q, r):
         return m * (2 * q - n) / (q * m)
     r = Fraction(r)
     return m * ((2 * q - n) * r - 2 * q) / (q * (m * r - (m - 1)))
+
+
+def rational_or_inf(r):
+    """The oracles' r: None for infinity."""
+    return None if math.isinf(r) else r
 
 
 def rational_conditions(p, n, q, r):
@@ -168,9 +170,9 @@ def test_pme_homogeneous_limited_example():
 def test_pme_m1_reduces_to_heat():
     # formula-level reduction: the bound at m=1 is the heat exponent
     for n, q, r in [(1, 1.25, 4.0), (2, 3.0, 4.0), (3, 4.0, 3.0)]:
-        bound = pme_source_bound(1.0, n, q, r)
-        heat = pparabolic_alpha(2.0, n, q, r)
-        assert abs(bound - heat) <= 1e-15
+        heat = rational_pparabolic_alpha(2, n, q, r)
+        assert rational_pme_bound(1, n, q, r) == heat
+        assert abs(dnl_source_bound(2.0, 1.0, n, q, r) - float(heat)) <= 1e-15
     # class-level: PME with m=1 normalises to the heat representative
     params = EquationParams(EquationKind.PME, 2, m=1.0)
     assert params.kind is EquationKind.HEAT
@@ -204,7 +206,8 @@ def test_pme_source_limited_branch():
 
 def test_pme_tie_resolves_to_source_limited():
     # pick alpha0 equal to the bound: closed value preferred
-    bound = pme_source_bound(2.0, 1, 1.2, 5.0)
+    bound = dnl_source_bound(2.0, 2.0, 1, 1.2, 5.0)
+    assert abs(bound - float(rational_pme_bound(2, 1, 1.2, 5))) <= 1e-15
     rep = sharp_exponents(
         EquationParams.pme(2.0, 1), SourceIntegrability(1.2, 5.0), HomogeneousExponent(bound)
     )
@@ -275,8 +278,8 @@ def test_reduction_identities_exact():
 def test_theta_identities_and_ranges():
     rng = np.random.default_rng(11)
     for p, n, q, r in sample_admissible_pparabolic(rng, 400):
-        alpha = pparabolic_alpha(p, n, q, r)
-        theta = pparabolic_theta(p, alpha)
+        alpha = dnl_source_bound(p, 1.0, n, q, r)
+        theta = dnl_theta(p, 1.0, alpha)
         assert abs(theta - (alpha * 2.0 + (1.0 - alpha) * p)) <= 1e-12
         assert 0.0 < alpha < 1.0
         if p > 2.0:
@@ -284,9 +287,9 @@ def test_theta_identities_and_ranges():
         else:
             assert theta == 2.0
     for m, n, q, r in sample_admissible_pme(rng, 400):
-        bound = pme_source_bound(m, n, q, r)
+        bound = dnl_source_bound(2.0, m, n, q, r)
         alpha = min(1.0, bound)
-        theta = pme_theta(m, alpha)
+        theta = dnl_theta(2.0, m, dnl_beta(2.0, m, alpha))
         assert abs(theta - (alpha * (1.0 + 1.0 / m) + (1.0 - alpha) * 2.0)) <= 1e-12
         assert 1.0 + 1.0 / m <= theta + 1e-15 and theta < 2.0
 
@@ -306,7 +309,7 @@ def test_pme_bound_limit_along_diagonal():
     for m in (1.5, 2.0, 4.0):
         prev = None
         for q in (1e2, 1e4, 1e6):
-            bound = pme_source_bound(m, 1, q, q)
+            bound = dnl_source_bound(2.0, m, 1, q, q)
             assert abs(bound - 2.0) <= 10.0 / q
             if prev is not None:
                 assert bound > prev
@@ -315,27 +318,28 @@ def test_pme_bound_limit_along_diagonal():
 
 def test_dnl_consistency_on_shared_grid():
     rng = np.random.default_rng(17)
-    # beta(m=1) reproduces the p-parabolic alpha
+    # beta(m=1) reproduces the p-parabolic alpha, and theta its p - (p-2) alpha
     for p, n, q, r in sample_admissible_pparabolic(rng, 200):
         if p == 2.0:
             continue
         bound = dnl_source_bound(p, 1.0, n, q, r)
-        alpha = pparabolic_alpha(p, n, q, r)
+        alpha = float(rational_pparabolic_alpha(p, n, q, rational_or_inf(r)))
         assert abs(bound - alpha) <= 1e-12
         assert abs(dnl_beta(p, 1.0, bound) - alpha) <= 1e-12
-        assert abs(dnl_theta(p, 1.0, alpha) - pparabolic_theta(p, alpha)) <= 1e-12
-    # beta(p=2) reproduces the porous-medium exponent
+        assert abs(dnl_theta(p, 1.0, alpha) - (p - (p - 2.0) * alpha)) <= 1e-12
+    # beta(p=2) reproduces the porous-medium exponent, and theta its alpha-interpolation
+    # between 1 + 1/m and 2
     for m, n, q, r in sample_admissible_pme(rng, 200):
         bound = dnl_source_bound(2.0, m, n, q, r)
-        pme_b = pme_source_bound(m, n, q, r)
+        pme_b = float(rational_pme_bound(m, n, q, rational_or_inf(r)))
         assert abs(bound - pme_b) <= 1e-12
         assert abs(dnl_beta(2.0, m, bound) - pme_b / m) <= 1e-12
         beta = dnl_beta(2.0, m, pme_b)
-        assert abs(dnl_theta(2.0, m, beta) - pme_theta(m, pme_b)) <= 1e-12
+        assert abs(dnl_theta(2.0, m, beta) - (pme_b * (1.0 + 1.0 / m) + (1.0 - pme_b) * 2.0)) <= 1e-12
 
 
 def test_sharp_exponents_match_each_family_formulas():
-    # one path serves every family; each family's public formulas must agree with it
+    # one path serves every family; each family's written-out closed forms must agree with it
     rng = np.random.default_rng(19)
 
     def rand_hom():
@@ -344,22 +348,22 @@ def test_sharp_exponents_match_each_family_formulas():
     for p, n, q, r in sample_admissible_pparabolic(rng, 300):
         params, integ = EquationParams.p_parabolic(p, n), SourceIntegrability(q, r)
         rep = sharp_exponents(params, integ)
-        alpha = pparabolic_alpha(p, n, q, r)
-        theta = pparabolic_theta(p, alpha)
+        alpha = float(rational_pparabolic_alpha(p, n, q, rational_or_inf(r)))
+        theta = alpha * 2.0 + (1.0 - alpha) * p
         assert rep.branch is Branch.SOURCE_LIMITED and not rep.open_interval
         assert abs(rep.alpha_space - alpha) <= 1e-15
-        assert abs(rep.theta - theta) <= 1e-15
+        assert abs(rep.theta - theta) <= 1e-15 * theta  # theta lies in [2, 8]
         assert abs(rep.alpha_time - alpha / theta) <= 1e-15
         assert sharp_exponents(params, integ, rand_hom()) == rep  # hom is ignored at m = 1
     for m, n, q, r in sample_admissible_pme(rng, 300):
         hom = rand_hom()
         rep = sharp_exponents(EquationParams.pme(m, n), SourceIntegrability(q, r), hom)
-        bound = pme_source_bound(m, n, q, r)
+        bound = float(rational_pme_bound(m, n, q, rational_or_inf(r)))
         alpha = min(bound, hom.value)
         assert rep.open_interval is (bound > hom.value)
         assert abs(rep.raw_alpha - alpha) <= 1e-15
         assert abs(rep.alpha_space - alpha / m) <= 1e-15
-        assert abs(rep.theta - pme_theta(m, alpha)) <= 1e-15
+        assert abs(rep.theta - (alpha * (1.0 + 1.0 / m) + (1.0 - alpha) * 2.0)) <= 1e-15
     count = 0
     while count < 300:
         p, m = float(rng.uniform(2.01, 6.0)), float(rng.uniform(1.01, 4.0))

@@ -39,7 +39,6 @@ from holderlab.geometry import (
     lqr_norm,
     make_cylinder,
     p_avg_norm,
-    pme_smallness,
     pparabolic_smallness,
     scaling_norm_factor,
     smallness,
@@ -375,6 +374,11 @@ def _normalize_exponent(p, m, a, n, q, r):
     return scaling_norm_factor(sc, q, r, n).exponent_e
 
 
+def _pme_normalize_exponent(m, a, n, q, r):
+    sc = build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, a=float(a), m=m)
+    return scaling_norm_factor(sc, q, r, n).exponent_e
+
+
 @settings(max_examples=200, deadline=None)
 @given(p=st.one_of(st.just(2.0), st.floats(2.0, 10.0)),
        m=st.one_of(st.just(1.0), st.floats(1.0, 6.0)), n=st.sampled_from([1, 2, 3]),
@@ -407,7 +411,7 @@ def test_smallness_search_pme():
     g = g1_grid(201, 101)
     u = sample(lambda x, t: 15.0 * np.cos(0.5 * np.pi * x), g)
     f = sample(lambda x, t: 30.0 * np.cos(0.5 * np.pi * x) * (1.0 - t), g)
-    res = pme_smallness(u, f, m=2.0, q=10.0, r=10.0, epsilon=1e-2)
+    res = smallness(EquationParams.pme(2.0, 1), u, f, 10.0, 10.0, epsilon=1e-2)
     assert res.a == 1  # admissible (q, r) always admit the smallest integer
     assert res.v_norm <= 1.0 and res.f_norm <= 1e-2
     # the scaling's own norm-factor prediction must hold on the output
@@ -482,7 +486,7 @@ def test_smallness_search_equals_full_grid_loop(g, family):
                                 u, f, 10.0, 10.0)
         assert res.v_norm < 0.5  # the source, not v, stops the search
     else:
-        res = pme_smallness(u, f, m=2.0, q=10.0, r=10.0)
+        res = smallness(EquationParams.pme(2.0, g.dim), u, f, 10.0, 10.0)
         ref = _full_grid_search(ScalingKind.PME_NORMALIZE, dict(a=1.0, m=2.0), 1, math.inf,
                                 u, f, 10.0, 10.0)
     rho, a, sc, v, f_scaled, v_norm, f_norm, it = ref
@@ -502,7 +506,7 @@ def test_smallness_search_rescales_the_full_fields_twice(monkeypatch):
     monkeypatch.setattr(geometry, "apply_scaling",
                         lambda *args, **kw: calls.append(kw.get("role")) or real(*args, **kw))
     pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0)
-    pme_smallness(u, f, m=2.0, q=10.0, r=10.0)
+    smallness(EquationParams.pme(2.0, 1), u, f, 10.0, 10.0)
     assert calls == [None, "source"] * 2
 
 
@@ -512,11 +516,11 @@ def test_smallness_search_rescales_the_full_fields_twice(monkeypatch):
      lambda u, f: pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0)),
     # the space image (0.5 S, 3 S) of a contraction S < 1 leaves (0.5, 3)
     (GridSpec.one_d(0.5, 3.0, 41, -1.0, 0.0, 31),
-     lambda u, f: pme_smallness(u, f, m=2.0, q=10.0, r=10.0)),
+     lambda u, f: smallness(EquationParams.pme(2.0, 1), u, f, 10.0, 10.0)),
 ], ids=["pparabolic_time", "pme_space"])
 def test_smallness_search_escaping_grid_raises(g, search):
     g1 = IntrinsicCylinder((0.0,), 0.0, 1.0, 2.0)
-    g1_cells, _ = _region_cells(sample(expression("zero"), g), g1)
+    g1_cells = _region_cells(sample(expression("zero"), g), g1)
     assert g1_cells.size > 0
     u, f = _smallness_fields(g)
     with pytest.raises(ScaledDomainEscapes):
@@ -536,18 +540,19 @@ def test_smallness_search_without_g1_cells_raises_before_any_candidate(monkeypat
 
 
 def test_pme_smallness_without_a_positive_exponent_raises_before_any_candidate(monkeypatch):
-    # m = 2, n = 2, q = 1, r = 1.01: the exponent is 1.02 - 2a, so -0.98, -2.98, ...
-    assert [geometry.pme_smallness_exponent(2.0, a, 2, 1.0, 1.01) for a in (1.0, 2.0)] == \
+    # m = 2, n = 2, q = 1, r = 1.01: the exponent (m + 2a) r - a (n r/q + 2) - (m - 1)
+    # is 1.02 - 2a, so -0.98, -2.98, ...
+    assert [_pme_normalize_exponent(2.0, a, 2, 1.0, 1.01) for a in (1, 2)] == \
         pytest.approx([-0.98, -2.98], abs=1e-12)
     u, f = _smallness_fields(GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 11, 11, -1.0, 0.0, 6))
     calls = []
     real = geometry.build_scaling
     monkeypatch.setattr(geometry, "build_scaling",
                         lambda *args, **kw: calls.append(1) or real(*args, **kw))
-    with pytest.raises(SmallnessSearchFailed, match="no integer a <= 64"):
-        pme_smallness(u, f, m=2.0, q=1.0, r=1.01)
+    with pytest.raises(SmallnessSearchFailed, match=r"e\(0\) > 0, so that rules out every a >= 1"):
+        smallness(EquationParams.pme(2.0, 2), u, f, 1.0, 1.01)
     with pytest.raises(SmallnessSearchFailed, match="exponent is -0.98 <= 0 at a = 1"):
-        pme_smallness(u, f, m=2.0, q=1.0, r=1.01)
+        smallness(EquationParams.pme(2.0, 2), u, f, 1.0, 1.01)
     assert calls == []
 
 
@@ -555,6 +560,15 @@ def test_smallness_rejects_params_of_another_dimension():
     u, f = _smallness_fields(SMALLNESS_GRIDS[1])
     with pytest.raises(ValueError, match="params.n = 1"):
         smallness(EquationParams.doubly_nonlinear(3.0, 2.0, 1), u, f, 10.0, 10.0)
+
+
+@pytest.mark.parametrize("u_grid, f_grid", [(0, 1), (1, 0)], ids=["1d_u_2d_f", "2d_u_1d_f"])
+def test_smallness_rejects_a_source_of_another_dimension(u_grid, f_grid):
+    u, _ = _smallness_fields(SMALLNESS_GRIDS[u_grid])
+    _, f = _smallness_fields(SMALLNESS_GRIDS[f_grid])
+    n = u.grid.dim
+    with pytest.raises(ValueError, match=f"u is {n}D and f is {3 - n}D"):
+        smallness(EquationParams.p_parabolic(3.0, n), u, f, 4.0, 4.0)
 
 
 def test_pparabolic_smallness_with_zero_epsilon_fails_after_max_iter():
@@ -644,8 +658,7 @@ def test_region_cells_equal_whole_field_reference(g):
             with pytest.raises(EmptyIntersection):
                 _region_cells(f, region)
             continue
-        got, n_slices = _region_cells(f, region)
-        assert _same_bits(got, want) and n_slices == want.shape[0]
+        assert _same_bits(_region_cells(f, region), want)
     assert empty >= 5 and len(regions) - empty >= 20  # both outcomes are covered
 
 
@@ -715,6 +728,10 @@ def test_scalings_reject_bad_input(call, error, match):
 
 
 def test_pme_smallness_exponent_at_infinite_r_is_the_limit_over_r():
-    assert geometry.pme_smallness_exponent(2.0, 1.0, 1, 4.0, math.inf) == 3.75
+    # e = (m + 2a) r - a (n r/q + 2) - (m - 1); its limit e/r is m + 2a - a n/q = 3.75 here
+    for m, a, n, q, r in [(2.0, 1, 1, 4.0, 3.0), (3.0, 2, 2, 1.5, 10.0), (1.5, 1, 3, 5.0, 1.01)]:
+        assert _pme_normalize_exponent(m, a, n, q, r) == pytest.approx(
+            (m + 2 * a) * r - a * (n * r / q + 2) - (m - 1), rel=1e-12, abs=1e-12)
+    assert _pme_normalize_exponent(2.0, 1, 1, 4.0, math.inf) == 3.75
     r = 1e9
-    assert geometry.pme_smallness_exponent(2.0, 1.0, 1, 4.0, r) / r == pytest.approx(3.75, rel=1e-8)
+    assert _pme_normalize_exponent(2.0, 1, 1, 4.0, r) / r == pytest.approx(3.75, rel=1e-8)

@@ -120,7 +120,7 @@ def test_best_constant_optimality():
 
     for lv in prof.levels:
         cyl = make_cylinder((0.0, 0.0), lv.radius, 2.0)
-        vals, _ = _region_cells(f, cyl)
+        vals = _region_cells(f, cyl)
         vals = vals.ravel()
 
         def dist(c):
@@ -154,7 +154,7 @@ def test_profile_best_constant_is_the_cell_mean_for_p2():
     from holderlab.geometry import make_cylinder
 
     for lv in prof.levels:
-        vals, _ = _region_cells(f, make_cylinder((0.0, 0.0), lv.radius, 2.0))
+        vals = _region_cells(f, make_cylinder((0.0, 0.0), lv.radius, 2.0))
         assert lv.c_k == vals.mean()
 
 
@@ -561,7 +561,7 @@ def test_ladder_allocates_about_two_level_blocks(grid, center):
     rng = np.random.default_rng(3)
     f = SpaceTimeField(grid, rng.normal(size=(grid.nt, *grid.nx)))
     oscillation_profile(f, center, 2.0, 0.5, 4, base_radius=0.9)  # first-call setup
-    cells = _region_cells(f, IntrinsicCylinder(center[:-1], center[-1], 0.9, 2.0))[0].nbytes
+    cells = _region_cells(f, IntrinsicCylinder(center[:-1], center[-1], 0.9, 2.0)).nbytes
     tracemalloc.start()
     try:
         oscillation_profile(f, center, 2.0, 0.5, 4, base_radius=0.9)

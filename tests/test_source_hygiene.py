@@ -126,3 +126,34 @@ def test_every_defaulted_parameter_is_set_by_some_call(module):
                       if not any(_may_set(call, positional.index(name) if name in positional
                                           else None, name) for call in calls)]
     assert never_set == []
+
+
+def _must_set(call, index, name) -> bool:
+    """Whether ``call`` surely sets the parameter ``name``, positional number ``index``."""
+    plain = next((i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)),
+                 len(call.args))
+    return index < plain or any(kw.arg == name for kw in call.keywords)
+
+
+def _constructions(cls) -> list:
+    """Calls of ``cls`` by name anywhere, and calls of ``cls`` in its own classmethods."""
+    own = [call for fn in cls.body if isinstance(fn, ast.FunctionDef)
+           and any(getattr(dec, "id", None) == "classmethod" for dec in fn.decorator_list)
+           for call in ast.walk(fn) if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls"]
+    return own + [call for call in CALLS
+                  if getattr(call.func, "id", getattr(call.func, "attr", None)) == cls.name]
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_dataclass_default_is_used_by_some_construction(module):
+    # a default that every construction overrides is never read
+    always_set = []
+    for cls in ast.walk(MODULES[module]):
+        if not isinstance(cls, ast.ClassDef) or _dataclass_keywords(cls) is None:
+            continue
+        fields = [stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+        calls = _constructions(cls)
+        always_set += [f"{cls.name}.{stmt.target.id}" for index, stmt in enumerate(fields)
+                       if stmt.value is not None
+                       and all(_must_set(call, index, stmt.target.id) for call in calls)]
+    assert always_set == []

@@ -140,10 +140,11 @@ class SpaceTimeField:
 
     ``values`` may have time stride 0 (one row seen at every level, as ``sample``
     returns for a time-free form).  Then its one row is all that is checked, and
-    ``interp``, the cell reads and ``geometry.sup_oscillation`` do their spatial
-    work on that row once, with the same bits as on a copy of every level.  A
-    caller who needs a writable copy takes ``np.array(field.values)``.  Fields
-    compare and hash by identity: a value comparison would scan every node.
+    ``interp``, the cell reads, ``geometry.sup_oscillation`` and the ladder of
+    ``lab.oscillation_profile`` do their spatial work on that row once, with the
+    same bits as on a copy of every level.  A caller who needs a writable copy
+    takes ``np.array(field.values)``.  Fields compare and hash by identity: a
+    value comparison would scan every node.
     """
 
     grid: GridSpec
@@ -219,9 +220,9 @@ def _axis_locate(u_coord, lo, h, n, what):
     """Fractional index with snapping so node lookups are exact."""
     u = (np.asarray(u_coord, dtype=float) - lo) / h
     span_tol = _EDGE_TOL * max(1.0, n - 1.0)
-    if not (np.all(u >= -span_tol) and np.all(u <= (n - 1) + span_tol)):  # NaN fails both
+    if not ((u >= -span_tol).all() and (u <= (n - 1) + span_tol).all()):  # NaN fails both
         raise OutOfDomain(f"{what}-coordinate outside grid extent")
-    u = np.clip(u, 0.0, n - 1.0)
+    u = np.minimum(np.maximum(u, 0.0), n - 1.0)  # np.clip without its Python-level wrapper
     idx = np.minimum(np.floor(u).astype(int), n - 2)
     w = u - idx
     w = np.where(w < span_tol, 0.0, np.where(w > 1.0 - span_tol, 1.0, w))
@@ -301,6 +302,17 @@ def _region_cells(field: SpaceTimeField, region) -> np.ndarray:
     block one node wider than the region's cell block is averaged."""
     nodes, cells = _cell_reader(field.grid, region)
     return cells(field.values[nodes])
+
+
+def _region_cell_row(field: SpaceTimeField, region) -> tuple[np.ndarray, int] | None:
+    """Of a field with time stride 0, ``region``'s one row of cell values and the
+    number of time slices that ``_region_cells`` repeats it at; None for any other
+    field.  The row is averaged from two node rows: one row has no cell row."""
+    if field.values.strides[0] != 0:
+        return None
+    nodes, cells = _cell_reader(field.grid, region)
+    block = field.values[nodes]
+    return cells(block[:2])[0], block.shape[0] - 1
 
 
 def _region_nodes(field: SpaceTimeField, region) -> np.ndarray | None:

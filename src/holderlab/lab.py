@@ -21,8 +21,8 @@ from .errors import (
     EmptyIntersection,
     InsufficientLevels,
 )
-from .fields import (SourceTerm, SpaceTimeField, _cell_reader, _node_gradient, _region_cells,
-                     interpolate_eval, sample)
+from .fields import (SourceTerm, SpaceTimeField, _cell_reader, _node_gradient, _region_cell_row,
+                     _region_cells, interpolate_eval, sample)
 from .geometry import lqr_norm, make_cylinder, sup_oscillation
 
 __all__ = [
@@ -81,28 +81,34 @@ class OscillationProfile:
 _QUANTITIES = ("osc", "sup_abs", "campanato")
 
 
-def _golden_best_constant(vals: np.ndarray, p: float):
-    """Constant c minimizing the averaged distance mean(|v - c|^p)^(1/p), and that
-    distance.
+def _golden_best_constant(vals: np.ndarray, p: float, rows: int = 1):
+    """Constant c minimizing the averaged distance mean(|v - c|^p)^(1/p) over v,
+    the 1D ``vals`` repeated ``rows`` times, and that distance.
 
     The minimizer is the mean for p = 2 and the median for p = 1.  For other p
     it is found by golden section: the objective is convex in c, so the bracket
-    [min v, max v] always contains the minimizer.
+    [min v, max v] always contains the minimizer.  The min, the max and each
+    |v - c|^p are taken on ``vals`` once.  The means and the median run on a
+    repeated copy, as on ``np.tile(vals, rows)``: a sum's bits depend on its
+    order and length, and the median's middle pair on the count.
     """
     lo, hi = float(vals.min()), float(vals.max())
     if hi - lo < 1e-15:
         return 0.5 * (lo + hi), 0.0
 
+    def repeated(v):
+        return np.broadcast_to(v, (rows, v.size)).ravel()  # a view when rows == 1
+
     def h(c):
         d = vals - c  # |v - c|^p in one buffer
         np.abs(d, out=d)
         d **= p
-        return float(d.mean())
+        return float(repeated(d).mean())
 
     if p == 2.0:
-        c = float(vals.mean())
+        c = float(repeated(vals).mean())
     elif p == 1.0:
-        c = float(np.median(vals))
+        c = float(np.median(repeated(vals), overwrite_input=rows > 1))  # only a copy is reordered
     else:
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = lo, hi
@@ -173,13 +179,13 @@ def oscillation_profile(
     levels = []
     for k, tau, cyl in _walk_ladder(g, center, theta, lam, k_max, base_radius):
         osc, sup_abs = sup_oscillation(field, cyl)
-        try:
-            vals = _region_cells(field, cyl).ravel()  # frees the F-ordered cells
+        try:  # a time-free field's cells are one row repeated; others are flattened
+            vals, rows = _region_cell_row(field, cyl) or (_region_cells(field, cyl).ravel(), 1)
         except EmptyIntersection:
             if k == 0:
                 raise
             break
-        c_k, dist = _golden_best_constant(vals, p)
+        c_k, dist = _golden_best_constant(vals, p, rows)
         levels.append(ProfileLevel(k, tau, osc, sup_abs, dist, c_k))
     return OscillationProfile(
         tuple(center), theta, lam, k_max, base_radius, p, tuple(levels), max(g.dx), g.dt

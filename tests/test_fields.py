@@ -20,6 +20,7 @@ from holderlab.fields import (
     Rectangle,
     SourceTerm,
     SpaceTimeField,
+    _axis_locate,
     _cell_average,
     expression,
     integrate_region,
@@ -153,6 +154,35 @@ def test_out_of_domain(unit_grid):
         interpolate_eval(f, (np.nan, 0.5))
     with pytest.raises(OutOfDomain):
         interpolate_eval(f, (0.5, np.nan))
+
+
+def _clip_locate(u_coord, lo, h, n):
+    """``_axis_locate``'s lookup of in-grid coordinates with the clamp written as np.clip."""
+    u = (np.asarray(u_coord, dtype=float) - lo) / h
+    span_tol = 1e-12 * max(1.0, n - 1.0)
+    u = np.clip(u, 0.0, n - 1.0)
+    idx = np.minimum(np.floor(u).astype(int), n - 2)
+    w = u - idx
+    return idx, np.where(w < span_tol, 0.0, np.where(w > 1.0 - span_tol, 1.0, w))
+
+
+# offsets from a node, in cells: on it, inside and outside the snapping band, and past the ends
+_OFFSETS = st.one_of(st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1e-11, -1e-11, 0.5]),
+                     st.floats(-1e-9, 1e-9), st.floats(0.0, 1.0))
+
+
+@given(st.integers(3, 400), st.floats(-10.0, 10.0), st.floats(1e-3, 10.0), st.data())
+def test_axis_locate_matches_the_clip_form(n, lo, h, data):
+    nodes = st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1))
+    coords = [lo + (k + d) * h for k, d in data.draw(st.lists(st.tuples(nodes, _OFFSETS), min_size=1))]
+    span_tol = 1e-12 * max(1.0, n - 1.0)
+    u = (np.asarray(coords) - lo) / h
+    assume(((u >= -span_tol) & (u <= (n - 1) + span_tol)).all())
+    for c in (coords[0], np.array(coords), np.array(coords).reshape(-1, 1)):
+        for got, want in zip(_axis_locate(c, lo, h, n, "x"), _clip_locate(c, lo, h, n)):
+            assert type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_integrate_constant_full_domain(unit_grid):

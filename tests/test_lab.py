@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holderlab.errors import (
     AllZeroLevels,
@@ -156,6 +157,14 @@ def test_profile_best_constant_is_the_cell_mean_for_p2():
     for lv in prof.levels:
         vals = _region_cells(f, make_cylinder((0.0, 0.0), lv.radius, 2.0))
         assert lv.c_k == vals.mean()
+
+
+# row sizes on both sides of numpy's 8-element unrolled and 128-element pairwise sum blocks
+@given(hnp.arrays(float, st.sampled_from([2, 7, 8, 9, 127, 128, 129, 255, 257]),
+                  elements=st.floats(-100.0, 100.0)),
+       st.integers(1, 24), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_best_constant_of_a_repeated_row_is_that_of_its_tile(row, rows, p):
+    assert repr(_golden_best_constant(row, p, rows)) == repr(_golden_best_constant(np.tile(row, rows), p))
 
 
 @given(st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=60), st.sampled_from([1.0, 2.0]))
@@ -571,6 +580,27 @@ def test_ladder_allocates_about_two_level_blocks(grid, center):
     assert peak < 3.0 * cells
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("grid, center", [
+    (GridSpec.one_d(-1.0, 1.0, 1601, 0.0, 1.0, 401), (0.013, 1.0)),
+    (GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 129, 129, 0.0, 1.0, 151), (0.01, 0.02, 1.0)),
+], ids=["1d", "2d"])
+def test_ladder_of_a_one_row_field_allocates_about_one_level_block(grid, center, p):
+    """A time-free field's ladder takes its cells and |v - c|^p on one row: only the
+    repeated copy that a mean or the median reads has its base level's cell size."""
+    rng = np.random.default_rng(3)
+    f = SpaceTimeField(grid, np.broadcast_to(rng.normal(size=grid.nx), (grid.nt, *grid.nx)))
+    oscillation_profile(f, center, 2.0, 0.5, 4, p=p, base_radius=0.9)  # first-call setup
+    cells = _region_cells(f, IntrinsicCylinder(center[:-1], center[-1], 0.9, 2.0)).nbytes
+    tracemalloc.start()
+    try:
+        oscillation_profile(f, center, 2.0, 0.5, 4, p=p, base_radius=0.9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cells
+
+
 @pytest.mark.parametrize("grid, center", [
     (GridSpec.one_d(-1.0, 1.0, 401, -1.0, 0.0, 101), (0.013, 0.0)),
     (GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 129, 129, -1.0, 0.0, 81), (0.02, -0.01, 0.0)),
@@ -579,7 +609,7 @@ def test_ladder_of_a_one_row_field_matches_its_copy(grid, center):
     rng = np.random.default_rng(11)
     f = SpaceTimeField(grid, np.broadcast_to(rng.normal(size=grid.nx), (grid.nt, *grid.nx)))
     copy = SpaceTimeField(grid, np.array(f.values))
-    for p in (1.5, 2.0):
+    for p in (1.0, 1.5, 2.0):
         got = oscillation_profile(f, center, 2.0, 0.5, 6, p=p, base_radius=0.6).levels
         assert len(got) >= 3
         assert repr(got) == repr(oscillation_profile(copy, center, 2.0, 0.5, 6, p=p, base_radius=0.6).levels)

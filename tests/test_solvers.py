@@ -285,6 +285,21 @@ def test_mid_run_overflow_blows_up_at_the_end_of_its_level():
     assert (exc.value.step_index, exc.value.time) == (3, 0.005)
 
 
+@pytest.mark.parametrize("boundary", [Boundary.DIRICHLET_ZERO, Boundary.PERIODIC], ids=lambda b: b.value)
+@pytest.mark.parametrize("params", [
+    EquationParams.pme(3.0, 1), EquationParams.pme(3.0, 2),
+    EquationParams.p_parabolic(3.0, 1), EquationParams.p_parabolic(3.0, 2),
+], ids=lambda p: f"{p.kind.value}-{p.n}d")
+def test_overflowing_values_blow_up_without_a_warning(params, boundary):
+    # u^m and |grad u|^2 overflow at the first flux; the tests run with warnings as errors
+    g = GridSpec(params.n, ((0.0, 1.0),) * params.n, (9,) * params.n, (0.5, 0.6), 3)
+    init = np.zeros(g.spatial_shape())
+    init[(4,) * params.n] = 1e200
+    with pytest.raises(BlowUp) as exc:
+        solve(params, None, init, g, SolverConfig(boundary=boundary))
+    assert (exc.value.step_index, exc.value.time) == (0, 0.5)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_solve_leaves_the_callers_init_unchanged(dim):
     g = GridSpec(dim, ((0.0, 1.0),) * dim, (17,) * dim, (0.0, 0.01), 3)

@@ -392,10 +392,18 @@ def covered_measure(field: SpaceTimeField, region) -> float:
 
 def _dist2(xs, center=None):
     """Squared distance of the points ``xs`` from ``center``: the origin if None,
-    and a scalar centre applies on every axis."""
-    if np.ndim(center) == 0:
-        center = (center or 0.0,) * len(xs)
-    return sum((np.asarray(x) - c) ** 2 for x, c in zip(xs, center))
+    and a scalar centre applies on every axis.  The result is a fresh array (or
+    scalar) that a caller may update in place."""
+    if center is None:  # x - 0.0 is x exactly
+        terms = [np.asarray(x, dtype=float) ** 2 for x in xs]
+    else:
+        if np.ndim(center) == 0:
+            center = (center or 0.0,) * len(xs)
+        terms = [(np.asarray(x) - c) ** 2 for x, c in zip(xs, center)]
+    r2 = terms[0]
+    for term in terms[1:]:
+        r2 = r2 + term  # not in place: the axes may broadcast to a larger shape
+    return r2
 
 
 def _make_constant(value=1.0):
@@ -633,7 +641,9 @@ def save_field(field: SpaceTimeField, path) -> None:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+            # the buffer itself, not a tobytes() copy of it; a time-free field is
+            # laid out at every level first, so the file holds every level
+            fh.write(memoryview(np.ascontiguousarray(field.values, dtype="<f8")))
     except OSError as exc:
         raise IoFailure(f"cannot write field to {path}: {exc}") from exc
 

@@ -132,16 +132,25 @@ class BarenblattPME:
     def eval(self, *coords):
         *xs, t = coords
         t = np.asarray(t, dtype=float)
-        if np.any(t <= 0):
+        if not (t > 0).all():  # NaN fails too
             raise OutsideValidity("Barenblatt profile requires t > 0")
-        r2 = _dist2(xs)
-        core = np.maximum(self.c - self.b * r2 * t ** (-2.0 * self.a / self.n), 0.0)
+        # in place only on fresh arrays of the full broadcast shape, so a scalar t or a
+        # time column still broadcasts against the points
+        core = _dist2(xs)
+        core *= self.b
+        t_scale = t ** (-2.0 * self.a / self.n)
+        core = core * t_scale
+        out = core if isinstance(core, np.ndarray) else None  # a numpy scalar has no buffer
+        core = np.maximum(np.subtract(self.c, core, out=out), 0.0, out=out)
         if self.m != 2.0:  # x ** 1.0 is x exactly; skip the pow pass
             core **= 1.0 / (self.m - 1.0)
-        return t ** (-self.a) * core
+        if self.n != 2:  # at n = 2 the two time powers are one: 2a/n = a
+            t_scale = t ** (-self.a)
+        core *= t_scale
+        return core
 
     def free_boundary_radius(self, t: float) -> float:
-        if t <= 0:
+        if not t > 0:  # NaN fails too
             raise OutsideValidity("Barenblatt profile requires t > 0")
         return math.sqrt(self.c / self.b) * t ** (self.a / self.n)
 
@@ -177,27 +186,55 @@ def stable_dt(grid: GridSpec, field_bound: float, grad_bound: float,
     if not (field_bound >= 0 and grad_bound >= 0):
         raise ValueError("bounds must be nonnegative")
     d_max = _face_diffusivity(params, cfg, field_bound, field_bound, grad_bound**2)
-    return _Stepper(params, cfg, grid).step(float(d_max))
+    return _cfl_step(cfg, grid.dx)(float(d_max))
 
 
-def _face_diffusivity(params, cfg, u_lo, u_hi, grad2):
-    """D on faces given the two adjacent node values and |grad u|^2 there; a
-    factor that is exactly 1 is not computed, and ``grad2`` is read only for p != 2."""
+def _cfl_step(cfg, dx) -> Callable[[float], float]:
+    """d_max -> the CFL step cfl_safety / (2 d_max sum_a h_a^-2) for the largest face
+    diffusivity d_max, or the pure-transport fallback cfl_safety * min(h)^2 at d_max = 0."""
+    safety = cfg.cfl_safety
+    inv_h2 = sum(1.0 / h**2 for h in dx)
+    fallback = safety * min(dx) ** 2
+
+    def step(d_max):
+        if d_max == 0.0:
+            return fallback
+        return safety / (2.0 * d_max * inv_h2)
+    return step
+
+
+def _face_diffusivity(params, cfg, u_lo, u_hi, grad2, out=None):
+    """D on faces given the two adjacent node values and |grad u|^2 there, written
+    into ``out`` (a fresh array if None) and returned; a factor that is exactly 1 is
+    not computed, and ``grad2`` is read only for p != 2."""
     p, m, eps = params.p, params.m, cfg.flux_regularization_eps
-    amp = None
-    if m != 1.0:  # every operation below is in place on the first fresh array
-        amp = np.abs(0.5 * (u_lo + u_hi))
-        if m != 2.0:  # x ** 1.0 is x exactly; skip the pow pass
-            amp **= m - 1.0
-        amp *= m
-    if p == 2.0:
-        return np.ones_like(u_lo) if amp is None else amp
-    grad_factor = grad2 + eps**2
-    grad_factor **= (p - 2.0) / 2.0
-    if amp is None:
-        return grad_factor
-    amp *= grad_factor
-    return amp
+    if out is None:
+        out = np.empty(np.broadcast(u_lo, u_hi).shape)
+    if m == 1.0:  # D is the gradient factor alone
+        if p == 2.0:
+            out.fill(1.0)
+            return out
+        np.add(grad2, eps**2, out=out)
+        out **= (p - 2.0) / 2.0
+        return out
+    np.add(u_lo, u_hi, out=out)  # every operation on the amplitude is in place on ``out``
+    out *= 0.5
+    np.abs(out, out=out)
+    if m != 2.0:  # x ** 1.0 is x exactly; skip the pow pass
+        out **= m - 1.0
+    out *= m
+    if p != 2.0:
+        grad_factor = grad2 + eps**2
+        grad_factor **= (p - 2.0) / 2.0
+        out *= grad_factor
+    return out
+
+
+def _divider(h):
+    """``(ufunc, operand)`` whose ``ufunc(x, operand, out=x)`` divides x by h in place.
+    For h a power of two it multiplies by 1/h: that reciprocal is exact, so x * (1/h)
+    and x / h are the same correctly rounded value, and a multiply is the cheaper pass."""
+    return (np.multiply, 1.0 / h) if math.frexp(h)[0] == 0.5 else (np.divide, h)
 
 
 class _Stepper:
@@ -206,67 +243,90 @@ class _Stepper:
     ``axes[a]`` is ``(lo, hi, inner, first, last, h)`` for axis a: index
     tuples of the nodes below and above each face normal to a (applied to a
     face array, the faces below and above each ``inner`` node), of the nodes
-    between two faces, and of the two edge slabs, which a PERIODIC boundary
-    identifies; then the spacing h_a.
+    between two faces, and of the two edge slabs (one node thick, so that in
+    1D too they index a view), which a PERIODIC boundary identifies; then the
+    spacing h_a.
+
+    The stepper allocates its work arrays once, and every ``fluxes`` call
+    overwrites them.  ``work[a]`` is ``(grad, flux, flux_lo, flux_hi, grad2,
+    across, diff, wrap)``: grad u and F on the faces normal to a, the views of
+    the faces below and above each inner node, |grad u|^2 on the faces (p != 2
+    only) and, in 2D, the squared other-axis gradient it adds, the difference
+    on the inner nodes, and the wrapped-face flux into the first slab (PERIODIC
+    only); ``source_dt`` holds dt f on the nodes.  ``divide_by_h[a]`` divides by
+    h_a (see ``_divider``).
     """
 
     def __init__(self, params, cfg, grid):
         self.params, self.cfg = params, cfg
-        self.inv_h2 = sum(1.0 / h**2 for h in grid.dx)
-        self.fallback_dt = cfg.cfl_safety * min(grid.dx) ** 2
+        self.step = _cfl_step(cfg, grid.dx)
         self.periodic = cfg.boundary is Boundary.PERIODIC
         self.needs_grad2 = params.p != 2.0
         self.tangential = self.needs_grad2 and grid.dim == 2
         self.axes = [
             tuple(_axis_index(grid.dim, a, i) for i in
-                  (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)) + (h,)
+                  (slice(None, -1), slice(1, None), slice(1, -1), slice(0, 1), slice(-1, None))) + (h,)
             for a, h in enumerate(grid.dx)
         ]
+        self.divide_by_h = [_divider(h) for h in grid.dx]
+        nodes = self.source_dt = np.empty(grid.spatial_shape())
+        self.work, self.diffs, wraps = [], [], []
+        for lo, hi, inner, first, _, _ in self.axes:
+            flux, diff = np.empty_like(nodes[lo]), np.empty_like(nodes[inner])
+            wrap = np.empty_like(nodes[first]) if self.periodic else None
+            self.work.append((np.empty_like(flux), flux, flux[lo], flux[hi],
+                              np.empty_like(flux) if self.needs_grad2 else None,
+                              np.empty_like(flux) if self.tangential else None, diff, wrap))
+            self.diffs.append((inner, diff))
+            wraps.append((first, wrap))
+        if self.periodic:
+            self.diffs += wraps
 
     def fluxes(self, u):
         """The flux differences of F = D * grad u as ``(index, difference)`` pairs,
         and the largest face D: each axis' ``(inner, (F_hi - F_lo) / h)`` on the nodes
         between two faces, then, on a PERIODIC boundary, each axis' wrapped-face flux
-        into its first slab, ``(first, (F[first] - F[last]) / h)``. The differences
-        are fresh arrays owned by the caller. ``apply`` scales them by dt and advances u,
-        both in place, so a multi-stage scheme must copy u and the differences it reuses."""
+        into its first slab, ``(first, (F[first] - F[last]) / h)``.  The list and the
+        differences are the stepper's own, the same objects at every call, and the next
+        call overwrites them.  ``apply`` scales them by dt and advances u, both in place,
+        so a multi-stage scheme must copy u and any difference it reuses."""
         if self.tangential:
             # |grad u|^2 on a face adds the other axis' node gradient, averaged onto it
             other = [_node_gradient(u, ax[-1], a) for a, ax in enumerate(self.axes)][::-1]
-        diffs, wraps, d_max = [], [], []
-        for a, (lo, hi, inner, first, last, h) in enumerate(self.axes):
+        d_max = []
+        for a, ((lo, hi, _, first, last, _), work, (divide, by)) in enumerate(
+                zip(self.axes, self.work, self.divide_by_h)):
+            grad, flux, flux_lo, flux_hi, grad2, across, diff, wrap = work
             u_lo, u_hi = u[lo], u[hi]
-            grad = u_hi - u_lo
-            grad /= h
-            grad2 = None
+            np.subtract(u_hi, u_lo, out=grad)
+            divide(grad, by, out=grad)
             if self.needs_grad2:
-                grad2 = grad * grad
+                np.multiply(grad, grad, out=grad2)
                 if self.tangential:
-                    grad2 += (0.5 * (other[a][hi] + other[a][lo])) ** 2
-            flux = _face_diffusivity(self.params, self.cfg, u_lo, u_hi, grad2)
-            d_max.append(float(flux.max()))  # NaN if any face D is NaN
+                    np.add(other[a][hi], other[a][lo], out=across)
+                    across *= 0.5
+                    across **= 2
+                    grad2 += across
+            _face_diffusivity(self.params, self.cfg, u_lo, u_hi, grad2, out=flux)
+            d_max.append(float(np.maximum.reduce(flux, axis=None)))  # NaN if any face D is NaN
             flux *= grad
-            diff = flux[hi] - flux[lo]
-            diff /= h
-            diffs.append((inner, diff))
+            np.subtract(flux_hi, flux_lo, out=diff)
+            divide(diff, by, out=diff)
             if self.periodic:
-                wraps.append((first, (flux[first] - flux[last]) / h))
-        return diffs + wraps, max(d_max)
-
-    def step(self, d_max):
-        """The CFL step for largest face diffusivity ``d_max``."""
-        if d_max == 0.0:
-            return self.fallback_dt
-        return self.cfg.cfl_safety / (2.0 * d_max * self.inv_h2)
+                np.subtract(flux[first], flux[last], out=wrap)
+                divide(wrap, by, out=wrap)
+        return self.diffs, max(d_max)
 
     def apply(self, u, dt, diffs, f_nodes):
         """Advance u in place by one step dt of the scheme, from ``fluxes(u)``, before
-        the boundary; the differences in ``diffs`` are left scaled by dt."""
+        the boundary; the differences in ``diffs``, the stepper's buffers, are left
+        scaled by dt until the next ``fluxes`` call overwrites them."""
         for index, diff in diffs:
             diff *= dt
-            u[index] += diff
+            nodes = u[index]
+            nodes += diff  # through a view: ``u[index] += diff`` copies the sum onto itself
         if f_nodes is not None:
-            u += dt * f_nodes  # edge values are reset by the boundary condition
+            u += np.multiply(f_nodes, dt, out=self.source_dt)  # edges are reset by the boundary
         if self.periodic:
             for _, _, _, first, last, _ in self.axes:
                 u[last] = u[first]
@@ -286,10 +346,12 @@ def _boundary_setter(cfg, grid, oracle) -> Callable:
         raise ValueError("dirichlet_oracle boundary requires a reference solution")
     mesh = grid.node_mesh()
     edge_coords = [[np.array(x[edge], dtype=float) for x in mesh] for edge in edges]
+    edge_times = [np.empty(xs[0].shape) for xs in edge_coords]
 
     def set_oracle(u, t):
-        for edge, xs in zip(edges, edge_coords):
-            u[edge] = oracle.eval(*xs, np.full(xs[0].shape, t))
+        for edge, xs, times in zip(edges, edge_coords, edge_times):
+            times.fill(t)  # one oracle call per edge, on its time array refilled in place
+            u[edge] = oracle.eval(*xs, times)
     return set_oracle
 
 

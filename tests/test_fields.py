@@ -547,6 +547,27 @@ def test_time_free_field_saves_every_level(tmp_path):
     assert g.values.tobytes() == f.values.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["solved", "time_free"])
+def test_saved_file_is_magic_header_and_every_levels_values(tmp_path, kind):
+    from holderlab.exponents import EquationParams
+    from holderlab.fields import _MAGIC
+    from holderlab.solvers import solve
+
+    if kind == "solved":
+        ref = BarenblattPME(2.0, 1, 1.0)
+        f = solve(EquationParams.pme(2.0, 1), None, ref.eval(GRID_1D.x_nodes(), 0.1), GRID_1D)
+    else:
+        f = sample(PowerProfile(0.6, (0.1,)).eval, GRID_1D, name="profile")
+        assert f.values.strides[0] == 0
+    save_field(f, tmp_path / "f.hlf")
+    g = f.grid
+    header = {"dim": g.dim, "x_extent": [list(e) for e in g.x_extent], "nx": list(g.nx),
+              "t_extent": list(g.t_extent), "nt": g.nt, "name": f.name, "provenance": f.provenance}
+    want = _MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + f.values.tobytes()
+    assert (tmp_path / "f.hlf").read_bytes() == want
+    assert len(f.values.tobytes()) == 8 * g.nt * math.prod(g.nx)
+
+
 def test_field_finiteness_check_sees_every_row_it_holds():
     values = np.zeros((GRID_1D.nt, *GRID_1D.nx))
     values[-1, 3] = np.nan  # only in the last row of an ordinary array

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holderlab.errors import (
     BlowUp,
@@ -585,3 +586,162 @@ def test_stepper_equals_the_literal_scheme_bitwise(pm, dim, boundary, eps, with_
     got = solve(params, source, init, g, cfg, oracle=oracle)
     assert np.array_equal(got.values, _literal_scheme(params, source, init, g, cfg, oracle))
 
+
+
+# -- the stepper's work arrays and the oracle's closed form -------------------
+
+
+def test_barenblatt_rejects_a_nan_time():
+    ref = BarenblattPME(m=2.0, n=1, mass=1.0)
+    for t in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(OutsideValidity, match="t > 0"):
+            ref.eval(np.zeros(2), t)
+    with pytest.raises(OutsideValidity, match="t > 0"):
+        ref.free_boundary_radius(math.nan)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.DIRICHLET_ZERO])
+@pytest.mark.parametrize("pm", [(2.0, 2.0), (3.0, 1.5)], ids=["pme", "dnl"])
+def test_stepper_fluxes_reuse_its_arrays_with_a_fresh_steppers_bits(dim, boundary, pm):
+    from holderlab.solvers import _Stepper
+
+    params = EquationParams(EquationKind.DOUBLY_NONLINEAR, dim, p=pm[0], m=pm[1])
+    g = GridSpec(dim, ((0.0, 1.0),) * dim, (13,) if dim == 1 else (9, 11), (0.0, 0.1), 2)
+    cfg = SolverConfig(boundary=boundary)
+    rng = np.random.default_rng(5)
+    u_first, u_second = rng.uniform(-0.5, 1.0, (2, *g.spatial_shape()))
+    stepper = _Stepper(params, cfg, g)
+    first, _ = stepper.fluxes(u_first)
+    arrays = [diff for _, diff in first]
+    stepper.apply(u_first, 1e-3, first, None)  # leaves the arrays scaled by dt
+    second, d_max = stepper.fluxes(u_second)
+    assert second is first
+    assert all(a is b for a, (_, b) in zip(arrays, second))
+    assert len(second) == (2 * dim if boundary is Boundary.PERIODIC else dim)
+    fresh, fresh_d_max = _Stepper(params, cfg, g).fluxes(u_second)
+    assert d_max == fresh_d_max
+    for (index, diff), (fresh_index, fresh_diff) in zip(second, fresh):
+        assert index == fresh_index
+        assert diff.tobytes() == fresh_diff.tobytes()
+
+
+@pytest.mark.parametrize("params", [
+    EquationParams.heat(1),
+    EquationParams.p_parabolic(3.0, 1),
+    EquationParams.pme(2.5, 1),
+    EquationParams.doubly_nonlinear(3.0, 2.0, 1),
+], ids=lambda p: p.kind.value)
+def test_face_diffusivity_writes_into_out(params):
+    from holderlab.solvers import _face_diffusivity
+
+    rng = np.random.default_rng(12)
+    u_lo, u_hi = rng.uniform(-1.0, 2.0, (2, 64))
+    grad2 = rng.uniform(0.0, 3.0, 64)
+    cfg = SolverConfig(flux_regularization_eps=1e-3)
+    out = np.full(64, np.nan)
+    got = _face_diffusivity(params, cfg, u_lo, u_hi, grad2, out=out)
+    assert got is out
+    assert out.tobytes() == _face_diffusivity(params, cfg, u_lo, u_hi, grad2).tobytes()
+    if params.kind is EquationKind.HEAT:
+        assert (out == 1.0).all()
+
+
+def test_stable_dt_allocates_no_grid_sized_array():
+    import tracemalloc
+
+    g = GridSpec.two_d((0.0, 1.0), (0.0, 1.0), 1001, 1001, 0.0, 1.0, 2)  # 8 MB per node array
+    tracemalloc.start()
+    try:
+        got = stable_dt(g, 1.0, 2.0, EquationParams.doubly_nonlinear(3.0, 2.0, 2), SolverConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(got, float) and got > 0.0
+    assert peak < 100_000
+
+
+def _written_out_dist2(xs, center=None):
+    if np.ndim(center) == 0:
+        center = (center or 0.0,) * len(xs)
+    return sum((np.asarray(x) - c) ** 2 for x, c in zip(xs, center))
+
+
+def _written_out_barenblatt(ref, xs, t):
+    t = np.asarray(t, dtype=float)
+    core = np.maximum(ref.c - ref.b * _written_out_dist2(xs) * t ** (-2.0 * ref.a / ref.n), 0.0)
+    return t ** (-ref.a) * core ** (1.0 / (ref.m - 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 2]), m=st.sampled_from([2.0, 3.0]),
+       t_kind=st.sampled_from(["scalar", "edge", "column"]),
+       times=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+       points=st.data())
+def test_barenblatt_and_dist2_keep_the_written_out_bits(n, m, t_kind, times, points):
+    """The oracle's closed form, with its passes cut, is bitwise the formula as
+    written, for a scalar t, an edge's time array and ``sample``'s time column."""
+    from holderlab.fields import _dist2
+
+    shape = points.draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=6))
+    coord = hnp.arrays(np.float64, shape, elements=st.floats(-3.0, 3.0))
+    xs = [points.draw(coord) for _ in range(n)]
+    t = {"scalar": times[0], "edge": np.full(shape, times[0]),
+         "column": np.array(times).reshape(2, 1, 1)}[t_kind]
+    ref = BarenblattPME(m=m, n=n, mass=0.7)
+    got, want = ref.eval(*xs, t), _written_out_barenblatt(ref, xs, t)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    center = points.draw(st.sampled_from([None, 0.25, (0.25, -0.5)[:n]]))
+    got, want = _dist2(xs, center), _written_out_dist2(xs, center)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_calls_the_oracle_once_per_edge_and_the_source_once_per_substep(dim, monkeypatch):
+    """The benchmark derives its substep counters from these call counts: one
+    ``eval_nodes`` per substep, and one oracle ``eval`` per edge at the start
+    and after every substep."""
+    from holderlab.solvers import _Stepper
+
+    counts = {"eval": 0, "eval_nodes": 0, "apply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SourceTerm, "eval_nodes", counted("eval_nodes", SourceTerm.eval_nodes))
+    monkeypatch.setattr(_Stepper, "apply", counted("apply", _Stepper.apply))
+    barenblatt = BarenblattPME(2.0, dim, 0.5)
+
+    class Oracle:
+        eval = staticmethod(counted("eval", barenblatt.eval))
+
+    g = GridSpec(dim, ((-2.0, 2.0),) * dim, (41,) if dim == 1 else (21, 17), (1.0, 1.2), 4)
+    source = SourceTerm(ClosedForm("sin_product", {"k": (1.0, 2.0)[:dim], "omega": 3.0}))
+    cfg = SolverConfig(boundary=Boundary.DIRICHLET_FROM_ORACLE)
+    solve(EquationParams.pme(2.0, dim), source, barenblatt.eval(*g.node_mesh(), 1.0), g, cfg,
+          oracle=Oracle())
+    substeps = counts["apply"]
+    assert substeps > g.nt - 1
+    assert counts["eval_nodes"] == substeps
+    assert counts["eval"] == 2 * dim * (1 + substeps)
+
+
+@pytest.mark.parametrize("h", [1 / 32, 0.5, 4.0, 2.0**-60, 0.0025, 0.1, 3.0])
+def test_divider_is_division_bitwise(h):
+    """A power-of-two spacing divides by multiplying with its exact reciprocal."""
+    from holderlab.solvers import _divider
+
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(4096) * 10.0 ** rng.integers(-300, 300, 4096)
+    x = np.concatenate([x, [0.0, -0.0, np.inf, -np.inf, 5e-324, 2.2e-308]])
+    divide, by = _divider(h)
+    assert (divide is np.multiply) == (math.frexp(h)[0] == 0.5)
+    got = x.copy()
+    with np.errstate(over="ignore", under="ignore"):
+        divide(got, by, out=got)
+        assert got.tobytes() == (x / h).tobytes()

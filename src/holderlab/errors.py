@@ -81,10 +81,6 @@ class AllZeroLevels(HolderLabError):
     """Every ladder level is numerically zero; a decay exponent is undefined."""
 
 
-class CutoffNotCompact(HolderLabError):
-    """The cutoff function does not vanish on the region boundary."""
-
-
 class SmallnessSearchFailed(HolderLabError):
     """Bisection could not reach the requested smallness regime."""
 

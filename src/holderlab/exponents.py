@@ -18,7 +18,6 @@ integrability exponents are exact, not large-number approximations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,7 +34,6 @@ __all__ = [
     "AdmissibilityVerdict",
     "check_admissibility",
     "sharp_exponents",
-    "p_monotonicity_sign",
     "pparabolic_alpha",
     "dnl_source_bound",
     "dnl_beta",
@@ -84,7 +82,7 @@ class EquationParams:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if isinstance(self.n, bool) or not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError(f"spatial dimension must be a positive integer, got {self.n}")
         if p != 2.0 and not p > 2.0:
             raise ValueError(f"{kind.value} requires p > 2, got p={p}")
@@ -297,18 +295,3 @@ def sharp_exponents(
     theta = dnl_theta(p, m, beta)
     return RegularityReport(beta, beta / theta, theta, branch, open_sup, alpha)
 
-
-def p_monotonicity_sign(n: int, q: float, r: float) -> int:
-    """Sign of the derivative of the p-parabolic exponent in p.
-
-    Equals sign(q(2 - r) + nr); for r = inf the limit sign(n - q) of the
-    expression divided by r is returned.  Guaranteed +1 whenever the
-    admissibility window holds.
-    """
-    if math.isinf(q):
-        raise ValueError("q must be finite")
-    if math.isinf(r):
-        value = n - q
-    else:
-        value = q * (2.0 - r) + n * r
-    return (value > 0) - (value < 0)

@@ -62,7 +62,8 @@ class GridSpec:
             raise ValueError("x_extent and nx must have one entry per axis, t_extent two ends")
         if not all(math.isfinite(v) for e in (*self.x_extent, self.t_extent) for v in e):
             raise ValueError(f"extents must be finite, got {self.x_extent} and {self.t_extent}")
-        if not all(isinstance(n, (int, np.integer)) for n in (self.dim, *self.nx, self.nt)):
+        counts = (self.dim, *self.nx, self.nt)  # a bool is an int to isinstance, not a count
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in counts):
             raise ValueError(f"dim and node counts must be integers, got {self.dim}, {self.nx}, {self.nt}")
         for (lo, hi), n in zip(self.x_extent, self.nx):
             if not hi > lo:

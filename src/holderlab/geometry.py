@@ -178,10 +178,14 @@ def lqr_norm(field: SpaceTimeField, region, q: float, r: float) -> NormValue:
     return NormValue(_lqr(_region_cells(field, region), field.grid, q, r))
 
 
-def _lqr(flat: np.ndarray, grid: GridSpec, q: float, r: float) -> float:
-    """Mixed L^q(L^r) norm of the cell values ``flat`` (one row per time slice) of ``grid``."""
+def _require_qr(q: float, r: float) -> None:
     if not (q >= 1.0 and r >= 1.0):
         raise ValueError("q and r must be >= 1")
+
+
+def _lqr(flat: np.ndarray, grid: GridSpec, q: float, r: float) -> float:
+    """Mixed L^q(L^r) norm of the cell values ``flat`` (one row per time slice) of ``grid``."""
+    _require_qr(q, r)
     if math.isinf(q):
         slices = np.abs(flat).max(axis=1)
     else:
@@ -349,6 +353,7 @@ def scaling_norm_factor(sc: AnisotropicScaling, q: float, r: float, n: int) -> S
 
 def _norm_exponent(row, n: int, q: float, r: float) -> float:
     """r (A + C - B n/q) - C of the row (b, B, C, A); for r = inf, the /r limit."""
+    _require_qr(q, r)
     _, space, time, amplitude = row
     per_r = (amplitude + time) - space * n / q
     return per_r if math.isinf(r) else r * per_r - time
@@ -403,8 +408,11 @@ def smallness(
     ``f_scaled`` are the full-grid fields of the best feasible candidate.
     Raises ``EmptyIntersection`` before any candidate if a grid has no cell
     in G1, and ``ScaledDomainEscapes`` at the first candidate whose full grid
-    maps outside its field's domain.
+    maps outside its field's domain.  Raises ``ValueError`` for q or r under 1
+    or an epsilon that is not positive.
     """
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not params.n == u_field.grid.dim == f_field.grid.dim:
         raise ValueError(f"params.n = {params.n} but u is {u_field.grid.dim}D "
                          f"and f is {f_field.grid.dim}D")

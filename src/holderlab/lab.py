@@ -15,15 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllZeroLevels,
-    CutoffNotCompact,
-    EmptyIntersection,
-    InsufficientLevels,
-)
-from .fields import (SourceTerm, SpaceTimeField, _cell_reader, _node_gradient, _region_cell_row,
-                     _region_cells, interpolate_eval, sample)
-from .geometry import lqr_norm, make_cylinder, sup_oscillation
+from .errors import AllZeroLevels, EmptyIntersection, InsufficientLevels
+from .fields import SpaceTimeField, _region_cell_row, _region_cells, interpolate_eval
+from .geometry import make_cylinder, sup_oscillation
 
 __all__ = [
     "ProfileLevel",
@@ -35,8 +29,6 @@ __all__ = [
     "campanato_sequence",
     "GeometricIterationReport",
     "geometric_iteration_check",
-    "CaccioppoliReport",
-    "caccioppoli_check",
     "time_direction_oscillations",
 ]
 
@@ -128,6 +120,13 @@ def _golden_best_constant(vals: np.ndarray, p: float, rows: int = 1):
     return c, h(c) ** (1.0 / p)
 
 
+def _require_ladder(lam, k_max):
+    if not 0.0 < lam <= 0.5:
+        raise ValueError(f"lam must lie in (0, 1/2], got {lam}")
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+
+
 def _walk_ladder(grid, center, theta, lam, k_max, base_radius):
     """Yield ``(k, tau, cylinder)`` for tau = base_radius * lam^k, k = 0..k_max,
     stopping before the first degenerate level: k > 0 with a radius under the
@@ -171,10 +170,7 @@ def oscillation_profile(
         other p use golden section.
     base_radius : float
     """
-    if not 0.0 < lam <= 0.5:
-        raise ValueError(f"lam must lie in (0, 1/2], got {lam}")
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    _require_ladder(lam, k_max)
     g = field.grid
     levels = []
     for k, tau, cyl in _walk_ladder(g, center, theta, lam, k_max, base_radius):
@@ -331,8 +327,10 @@ def geometric_iteration_check(
 
     Each level also records whether the pointwise smallness precondition
     |u(center)| <= (lam^k)^gamma / 4 holds there.  Levels below the grid
-    resolution are dropped, mirroring the profile truncation.
+    resolution are dropped, mirroring the profile truncation.  ``lam`` and
+    ``k_max`` are checked as in ``oscillation_profile``.
     """
+    _require_ladder(lam, k_max)
     center_value = interpolate_eval(field, center)
     levels = []
     for k, tau, cyl in _walk_ladder(field.grid, center, theta, lam, k_max, base_radius):
@@ -341,95 +339,14 @@ def geometric_iteration_check(
         levels.append(GeoLevel(
             k, tau, target, abs(center_value) <= 0.25 * target, sup_abs, sup_abs / target
         ))
-    ratios = [lv.ratio for lv in levels]
     first_fail = next((lv.k for lv in levels if lv.ratio > 1.0), None)
     return GeometricIterationReport(
         tuple(levels),
         center_value,
-        max(ratios) if ratios else math.inf,
+        max(lv.ratio for lv in levels),
         first_fail,
         not any(lv.precondition_holds for lv in levels),
     )
-
-
-# -- Caccioppoli energy check -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CaccioppoliReport:
-    lhs_sup_term: float
-    lhs_grad_term: float
-    rhs_time_term: float
-    rhs_space_term: float
-    rhs_source_term: float
-
-    @property
-    def ratio(self) -> float:
-        lhs = self.lhs_sup_term + self.lhs_grad_term
-        rhs = self.rhs_time_term + self.rhs_space_term + self.rhs_source_term
-        if lhs == 0.0:
-            return 0.0
-        return lhs / rhs if rhs > 0.0 else math.inf
-
-
-def caccioppoli_check(
-    field: SpaceTimeField,
-    cutoff,
-    source: SourceTerm | None,
-    m: float,
-    region,
-) -> CaccioppoliReport:
-    """Evaluate both sides of the energy inequality with unit constant.
-
-    sup_t int u^2 xi^2 + iint |u|^(m-1) |grad u|^2 xi^2   (left)
-    iint u^2 xi |xi_t| + iint |u|^(m+1) (|grad xi|^2 + xi^2) + ||f||_{q,r}^2
-
-    ``cutoff`` is a callable xi(x[, y], t) with values in [0, 1] vanishing
-    on the region boundary (checked to 1e-12); derivatives of u and xi are
-    centered differences, integrals the midpoint rule over region cells.
-
-    Raises ``EvaluationFailure`` for a cutoff not finite at a node,
-    ``CutoffNotCompact`` for one not vanishing on the region boundary and
-    ``EmptyIntersection`` for a region without cells.
-    """
-    g = field.grid
-    xi = sample(cutoff, g).values
-    if xi.min() < -1e-12 or xi.max() > 1.0 + 1e-12:
-        raise ValueError("cutoff values must lie in [0, 1]")
-
-    t0, t1 = region.time_window()
-    bounds = region.space_bounds()
-    # compact support: probe each side face at the midpoint of the other axes at
-    # three times, and the bottom and top faces at their centre
-    mids = [0.5 * (lo + hi) for lo, hi in bounds]
-    probes = [(*mids[:axis], edge, *mids[axis + 1:], t)
-              for axis, edges in enumerate(bounds) for edge in edges
-              for t in (t0, 0.5 * (t0 + t1), t1)]
-    probes += [(*mids, t) for t in (t0, t1)]
-    reach = max(abs(float(cutoff(*[np.asarray(c) for c in xs], t))) for *xs, t in probes)
-    if reach > 1e-12:
-        raise CutoffNotCompact(f"cutoff reaches {reach:.3g} on the region boundary")
-
-    # derivatives on the region's node block widened by one node where the grid allows,
-    # so every block node keeps the whole grid's central or one-sided difference
-    nodes, cells = _cell_reader(g, region)
-    wide = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in nodes)
-    block = tuple(slice(s.start - w.start, s.stop - w.start) for s, w in zip(nodes, wide))
-    u, xi = field.values[wide], xi[wide]
-    grad_u2 = sum(_node_gradient(u, g.dx[a], a + 1) ** 2 for a in range(g.dim))[block]
-    grad_xi2 = sum(_node_gradient(xi, g.dx[a], a + 1) ** 2 for a in range(g.dim))[block]
-    xi_t = _node_gradient(xi, g.dt, 0)[block]
-    u, xi = u[block], xi[block]
-
-    lhs_sup = float(cells(u**2 * xi**2).sum(axis=1).max() * g.space_cell_volume)
-    lhs_grad = float(cells(np.abs(u) ** (m - 1.0) * grad_u2 * xi**2).sum() * g.cell_volume)
-    rhs_time = float(cells(u**2 * xi * np.abs(xi_t)).sum() * g.cell_volume)
-    rhs_space = float(cells(np.abs(u) ** (m + 1.0) * (grad_xi2 + xi**2)).sum() * g.cell_volume)
-    rhs_source = 0.0
-    if source is not None:
-        f_field = source.as_field(g)
-        rhs_source = lqr_norm(f_field, region, source.q, source.r).value ** 2
-    return CaccioppoliReport(lhs_sup, lhs_grad, rhs_time, rhs_space, rhs_source)
 
 
 def time_direction_oscillations(
@@ -446,7 +363,9 @@ def time_direction_oscillations(
     the time distance tau^theta.  The segments need no spatial resolution,
     so this ladder stops only when tau^theta falls under one time step, and
     tests that at k = 0 too; it does not use the cylinder ladder's stop rule.
+    ``lam`` and ``k_max`` are checked as in ``oscillation_profile``.
     """
+    _require_ladder(lam, k_max)
     *x0, t0 = center
     g = field.grid
     t_dists, oscs = [], []

@@ -17,7 +17,6 @@ from holderlab.exponents import (
     dnl_beta,
     dnl_source_bound,
     dnl_theta,
-    p_monotonicity_sign,
     pparabolic_alpha,
     sharp_exponents,
 )
@@ -242,17 +241,9 @@ def test_inadmissible_raises():
 # -- p-monotonicity --
 
 
-def test_monotonicity_sign_examples():
-    assert p_monotonicity_sign(2, 3.0, 4.0) == 1  # 3(-2) + 8 = 2 > 0
-    assert p_monotonicity_sign(1, 5.0, 2.0) == 1  # (2-r) term vanishes
-    assert p_monotonicity_sign(7, 5.0, 2.0) == 1
-    assert p_monotonicity_sign(1, 100.0, 10.0) == -1
-    assert p_monotonicity_sign(3, 3.0, INF) == 0  # sign(n - q)
-    assert p_monotonicity_sign(4, 3.0, INF) == 1
-
-
 def test_negative_sign_tuple_is_inadmissible_for_all_p():
-    # n=1, q=100, r=10 violates the borderline window for every p > 2
+    # at n=1, q=100, r=10 the p-parabolic exponent falls as p grows (its p-derivative has
+    # the sign of q(2 - r) + nr < 0), but the tuple violates the borderline window for every p > 2
     for p in np.linspace(2.0001, 50.0, 200):
         verdict = check_admissibility(
             EquationParams.p_parabolic(float(p), 1), SourceIntegrability(100.0, 10.0)
@@ -300,7 +291,6 @@ def test_monotonicity_over_sweep():
     for p, n, q, r in sample_admissible_pparabolic(rng, 400):
         if p == 2.0:
             continue
-        assert p_monotonicity_sign(n, q, r) == 1
         fd = (pparabolic_alpha(p + h, n, q, r) - pparabolic_alpha(p, n, q, r)) / h
         assert fd > 0.0
 
@@ -442,8 +432,8 @@ def test_kind_given_by_value_pins_its_exponents(kind, p, m, family):
 @pytest.mark.parametrize("call, match", [
     (lambda: EquationParams(None, 1, p=3.0, m=2.0), "EquationKind"),
     (lambda: EquationParams("bogus", 1, p=3.0, m=2.0), "EquationKind"),
-    (lambda: p_monotonicity_sign(1, INF, 2.0), "q must be finite"),
-], ids=["kind_none", "kind_bogus", "monotonicity_infinite_q"])
+    (lambda: EquationParams(EquationKind.HEAT, True), "positive integer"),
+], ids=["kind_none", "kind_bogus", "dimension_bool"])
 def test_exponents_reject_bad_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

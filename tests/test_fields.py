@@ -726,11 +726,13 @@ def _tiny_grid():
 @pytest.mark.parametrize("call, error, match", [
     (lambda: GridSpec(3, ((0.0, 1.0),) * 3, (3, 3, 3), (0.0, 1.0), 2), ValueError, "dimension"),
     (lambda: GridSpec.one_d(0.0, 1.0, 3, 1.0, 1.0, 2), ValueError, "empty time extent"),
+    (lambda: GridSpec(True, ((0.0, 1.0),), (3,), (0.0, 1.0), 2), ValueError, "integers"),
     (lambda: SpaceTimeField(_tiny_grid(), np.zeros((3, 2))), ValueError, "shape"),
     (lambda: SpaceTimeField(_tiny_grid(), np.full((2, 3), np.nan)), ValueError, "non-finite"),
     (lambda: rough_power_cap(1.0, 0.1), ValueError, "sigma"),
     (lambda: expression("bogus"), KeyError, "unknown expression"),
-], ids=["grid_dim_3", "grid_empty_time", "field_shape", "field_nan", "cap_sigma_1", "unknown_expression"])
+], ids=["grid_dim_3", "grid_empty_time", "grid_dim_bool", "field_shape", "field_nan", "cap_sigma_1",
+        "unknown_expression"])
 def test_fields_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()

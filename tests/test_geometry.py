@@ -571,11 +571,12 @@ def test_smallness_rejects_a_source_of_another_dimension(u_grid, f_grid):
         smallness(EquationParams.p_parabolic(3.0, n), u, f, 4.0, 4.0)
 
 
-def test_pparabolic_smallness_with_zero_epsilon_fails_after_max_iter():
-    # a nonzero source has a positive norm at every rho, so no candidate is feasible
+def test_pparabolic_smallness_with_unreachable_epsilon_fails_after_max_iter():
+    # the source norm on G1 falls like rho^2 here, to about 2e-35 at the last step's
+    # rho = 2^-60, so no candidate reaches epsilon = 1e-300
     u, f = _smallness_fields(g1_grid(41, 21))
     with pytest.raises(SmallnessSearchFailed, match="after 60 bisection steps"):
-        pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0, epsilon=0.0)
+        pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0, epsilon=1e-300)
 
 
 # -- range checks -------------------------------------------------------------
@@ -721,7 +722,23 @@ def test_smallness_of_one_row_fields_matches_their_copies(g, params):
                            role="bogus"), ValueError, "role"),
     (lambda: AnisotropicScaling(ScalingKind.PME_ZOOM, 1.0, 0.0, 1.0, 1.0, {}), InvalidScaleParameter,
      "time_factor"),
-], ids=["apply_scaling_role", "zero_time_factor"])
+    (lambda: pparabolic_smallness(*_smallness_fields(g1_grid(41, 21)), p=3.0, q=0.0, r=4.0),
+     ValueError, "q and r must be >= 1"),
+    (lambda: pparabolic_smallness(*_smallness_fields(g1_grid(41, 21)), p=3.0, q=4.0, r=0.0),
+     ValueError, "q and r must be >= 1"),
+    (lambda: pparabolic_smallness(*_smallness_fields(g1_grid(41, 21)), p=3.0, q=4.0, r=4.0,
+                                  epsilon=0.0), ValueError, "epsilon must be positive"),
+    (lambda: smallness(EquationParams.pme(2.0, 1), *_smallness_fields(g1_grid(41, 21)), 10.0, 10.0,
+                       epsilon=math.nan), ValueError, "epsilon must be positive"),
+    (lambda: scaling_norm_factor(build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0),
+                                 0.0, 2.0, 1), ValueError, "q and r must be >= 1"),
+    (lambda: scaling_norm_factor(build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0),
+                                 2.0, 0.0, 1), ValueError, "q and r must be >= 1"),
+    (lambda: scaling_norm_factor(build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0),
+                                 0.5, 2.0, 1), ValueError, "q and r must be >= 1"),
+], ids=["apply_scaling_role", "zero_time_factor", "smallness_q_0", "smallness_r_0",
+        "smallness_epsilon_0", "smallness_epsilon_nan", "norm_factor_q_0", "norm_factor_r_0",
+        "norm_factor_q_half"])
 def test_scalings_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()

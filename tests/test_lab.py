@@ -1,4 +1,4 @@
-"""Oscillation ladders, exponent fits, Campanato sequences, Caccioppoli."""
+"""Oscillation ladders, exponent fits, Campanato sequences, geometric iteration."""
 
 import dataclasses
 import math
@@ -10,31 +10,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from holderlab.errors import (
-    AllZeroLevels,
-    CutoffNotCompact,
-    EmptyIntersection,
-    EvaluationFailure,
-    InsufficientLevels,
-)
-from holderlab.fields import (
-    ClosedForm,
-    GridSpec,
-    Rectangle,
-    SourceTerm,
-    SpaceTimeField,
-    _cell_average,
-    _node_gradient,
-    _region_cells,
-    expression,
-    sample,
-)
+from holderlab.errors import AllZeroLevels, EmptyIntersection, InsufficientLevels
+from holderlab.fields import GridSpec, SpaceTimeField, _region_cells, expression, sample
 from holderlab.geometry import IntrinsicCylinder, ScalingKind, apply_scaling, build_scaling
 from holderlab.lab import (
     OscillationProfile,
     _golden_best_constant,
     ProfileLevel,
-    caccioppoli_check,
     campanato_sequence,
     fit_exponent,
     geometric_iteration_check,
@@ -328,186 +310,6 @@ def test_time_direction_exponent_consistency():
     assert abs(slope - alpha / theta) <= 0.1
 
 
-# -- caccioppoli ----------------------------------------------------------------
-
-
-def region_and_bump():
-    region = Rectangle.one_d(-0.8, 0.8, -0.9, -0.1)
-    bump = expression("bump", x_support=((-0.8, 0.8),), t_support=(-0.9, -0.1))
-    return region, bump
-
-
-def test_caccioppoli_zero_field():
-    f = sample(expression("zero"), g1_grid(201, 101))
-    region, bump = region_and_bump()
-    rep = caccioppoli_check(f, bump, None, 2.0, region)
-    assert rep.ratio == 0.0
-    assert rep.lhs_sup_term == 0.0 and rep.rhs_space_term == 0.0
-
-
-def test_caccioppoli_constant_field_against_quadrature_oracle():
-    g = g1_grid(801, 401)
-    f = sample(expression("constant", value=1.0), g)
-    region, bump = region_and_bump()
-    rep = caccioppoli_check(f, bump, None, 2.0, region)
-
-    # independent fine quadrature of the closed-form bump
-    xs = np.linspace(-0.8, 0.8, 20001)
-    ts = np.linspace(-0.9, -0.1, 2001)
-    sx = (2 * xs - (-0.8) - 0.8) / 1.6
-    bx = (1 - sx**2) ** 2
-    st = (2 * ts - (-0.9) - (-0.1)) / 0.8
-    bt = (1 - st**2) ** 2
-    dbx = np.gradient(bx, xs)
-    dbt = np.gradient(bt, ts)
-    int_bx2 = np.trapezoid(bx**2, xs)
-    sup_term = int_bx2 * bt.max() ** 2
-    time_term = int_bx2 * np.trapezoid(bt * np.abs(dbt), ts)
-    space_term = (np.trapezoid(dbx**2, xs) * np.trapezoid(bt**2, ts)
-                  + int_bx2 * np.trapezoid(bt**2, ts))
-    assert rep.lhs_sup_term == pytest.approx(sup_term, rel=2e-2)
-    assert rep.lhs_grad_term == 0.0
-    assert rep.rhs_time_term == pytest.approx(time_term, rel=2e-2)
-    assert rep.rhs_space_term == pytest.approx(space_term, rel=2e-2)
-    assert math.isfinite(rep.ratio) and rep.ratio > 0.0
-
-
-def bump_integrals(lo, hi):
-    """(int b^2, int b'^2, int b |b'|) of the quartic bump on [lo, hi], fine quadrature."""
-    z = np.linspace(lo, hi, 20001)
-    s = (2 * z - lo - hi) / (hi - lo)
-    b = (1 - s**2) ** 2
-    db = np.gradient(b, z)
-    return np.trapezoid(b**2, z), np.trapezoid(db**2, z), np.trapezoid(b * np.abs(db), z)
-
-
-def test_caccioppoli_constant_field_2d_against_quadrature_oracle():
-    g = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 81, 81, -1.0, 0.0, 81)
-    f = sample(expression("constant", value=1.0), g)
-    x_ext, y_ext, t_ext = (-0.8, 0.8), (-0.6, 0.6), (-0.9, -0.1)
-    region = Rectangle((x_ext, y_ext), t_ext)
-    bump = expression("bump", x_support=(x_ext, y_ext), t_support=t_ext)
-    rep = caccioppoli_check(f, bump, None, 2.0, region)
-
-    # the bump is a tensor product, so each term is a product of 1D integrals
-    bx2, dbx2, _ = bump_integrals(*x_ext)
-    by2, dby2, _ = bump_integrals(*y_ext)
-    bt2, _, bt_dbt = bump_integrals(*t_ext)
-    assert rep.lhs_sup_term == pytest.approx(bx2 * by2, rel=2e-2)  # sup of bt^2 is 1
-    assert rep.lhs_grad_term == 0.0
-    assert rep.rhs_time_term == pytest.approx(bx2 * by2 * bt_dbt, rel=2e-2)
-    space_term = (dbx2 * by2 + bx2 * dby2 + bx2 * by2) * bt2
-    assert rep.rhs_space_term == pytest.approx(space_term, rel=2e-2)
-
-
-@pytest.mark.parametrize("source", [None, SourceTerm(ClosedForm("constant", {"value": 2.0}))])
-@pytest.mark.parametrize("x_ext, t_ext", [
-    ((0.001, 0.002), (-0.9, -0.1)),    # between two cell centres in x
-    ((-0.8, 0.8), (-0.503, -0.501)),   # between two cell centres in t
-])
-def test_caccioppoli_region_without_cells_raises(source, x_ext, t_ext):
-    f = sample(expression("constant", value=1.0), g1_grid(201, 101))
-    region = Rectangle.one_d(*x_ext, *t_ext)
-    bump = expression("bump", x_support=(x_ext,), t_support=t_ext)
-    with pytest.raises(EmptyIntersection):
-        caccioppoli_check(f, bump, source, 2.0, region)
-
-
-def test_caccioppoli_non_finite_cutoff_raises():
-    f = sample(expression("constant", value=1.0), g1_grid(201, 101))
-    region, bump = region_and_bump()
-
-    def cutoff(x, t):
-        return np.where(np.abs(x - 0.5) < 0.05, np.nan, bump(x, t))
-
-    with pytest.raises(EvaluationFailure):
-        caccioppoli_check(f, cutoff, None, 2.0, region)
-
-
-def test_caccioppoli_source_term_enters():
-    g = g1_grid(401, 201)
-    f = sample(expression("constant", value=0.0), g)
-    region, bump = region_and_bump()
-    src = SourceTerm(ClosedForm("constant", {"value": 2.0}), q=4.0, r=4.0)
-    rep = caccioppoli_check(f, bump, src, 2.0, region)
-    assert rep.rhs_source_term > 0.0
-    assert rep.ratio == 0.0  # lhs vanishes for u = 0
-
-
-@pytest.mark.parametrize("m, terms", [
-    (1.0, (0.18916597646421845, 0.003951029499609521, 0.18882418772441642, 1.2574261399005844,
-           0.8752551733406385)),
-    (2.0, (0.18916597646421845, 0.00406877371841191, 0.18882418772441642, 1.2874043347117252,
-           0.8752551733406385)),
-    (3.0, (0.18916597646421845, 0.004199276200571743, 0.18882418772441642, 1.3223196595635895,
-           0.8752551733406385)),
-])
-def test_caccioppoli_2d_with_source_matches_whole_field_numbers(m, terms):
-    """The five terms as the whole-field cell average gave them (same quadrature)."""
-    g = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 41, 37, 0.0, 1.0, 21)
-    u = sample(lambda x, y, t: 1.0 + x * y + 0.5 * t * x**2, g)
-    region = Rectangle(((-0.6, 0.7), (-0.5, 0.4)), (0.2, 0.9))
-    cutoff = expression("bump", x_support=region.x_extent, t_support=region.t_extent)
-    source = SourceTerm(ClosedForm("affine", {"slopes": (1.0, -2.0), "t_slope": 0.5, "offset": 0.3}),
-                        q=2.0, r=3.0)
-    rep = caccioppoli_check(u, cutoff, source, m, region)
-    got = (rep.lhs_sup_term, rep.lhs_grad_term, rep.rhs_time_term, rep.rhs_space_term,
-           rep.rhs_source_term)
-    assert got == pytest.approx(terms, rel=1e-12)
-
-
-def _caccioppoli_whole_field(field, cutoff, m, region):
-    """The four energy terms from products and cell averages over the whole grid."""
-    g = field.grid
-    u, xi = field.values, sample(cutoff, g).values
-    grad_u2 = sum(_node_gradient(u, g.dx[a], a + 1) ** 2 for a in range(g.dim))
-    grad_xi2 = sum(_node_gradient(xi, g.dx[a], a + 1) ** 2 for a in range(g.dim))
-    xi_t = _node_gradient(xi, g.dt, 0)
-    t0, t1 = region.time_window()
-    rows = (g.t_cell_centers >= t0) & (g.t_cell_centers <= t1)
-    mask = region.space_mask(*g.cell_mesh())
-
-    def restrict(node_arr):
-        return _cell_average(node_arr)[rows][:, mask]
-
-    return (float(restrict(u**2 * xi**2).sum(axis=1).max() * g.space_cell_volume),
-            float(restrict(np.abs(u) ** (m - 1.0) * grad_u2 * xi**2).sum() * g.cell_volume),
-            float(restrict(u**2 * xi * np.abs(xi_t)).sum() * g.cell_volume),
-            float(restrict(np.abs(u) ** (m + 1.0) * (grad_xi2 + xi**2)).sum() * g.cell_volume))
-
-
-@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("corner", ["low", "last_level"])
-def test_caccioppoli_region_block_equals_whole_field(m, dim, corner):
-    """Regions on the grid's low corner or its last time level, where the derivatives
-    are one-sided, give the whole-field numbers bitwise."""
-    if dim == 1:
-        g = GridSpec.one_d(-1.0, 1.0, 81, -1.0, 0.0, 41)
-        u = sample(lambda x, t: np.cos(2.0 * x) * (1.5 + t) + 0.3 * np.sin(5.0 * x * t), g)
-    else:
-        g = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 31, 27, -1.0, 0.0, 21)
-        u = sample(lambda x, y, t: np.cos(2.0 * x) * np.sin(y + 1.0) * (1.5 + t) - 0.2 * x * y, g)
-    if corner == "low":
-        x_ext, t_ext = ((-1.0, 0.37), (-1.0, 0.21))[:dim], (-1.0, -0.43)
-    else:
-        x_ext, t_ext = ((-0.29, 1.0), (0.13, 1.0))[:dim], (-0.52, 0.0)
-    region = Rectangle(x_ext, t_ext)
-    cutoff = expression("bump", x_support=x_ext, t_support=t_ext)
-    rep = caccioppoli_check(u, cutoff, None, m, region)
-    got = (rep.lhs_sup_term, rep.lhs_grad_term, rep.rhs_time_term, rep.rhs_space_term)
-    assert got == _caccioppoli_whole_field(u, cutoff, m, region)
-    assert min(got) > 0.0
-
-
-def test_caccioppoli_cutoff_not_compact():
-    f = sample(expression("constant", value=1.0), g1_grid(201, 101))
-    region = Rectangle.one_d(-0.5, 0.5, -0.8, -0.2)
-    wide_bump = expression("bump", x_support=((-0.9, 0.9),), t_support=(-0.95, -0.05))
-    with pytest.raises(CutoffNotCompact):
-        caccioppoli_check(f, wide_bump, None, 2.0, region)
-
-
 @pytest.mark.parametrize("n_nonzero", [0, 1, 2, 3])
 def test_campanato_is_degenerate_below_three_nonzero_differences(n_nonzero):
     """With fewer than 3 differences above the zero floor there is no decay fit,
@@ -532,31 +334,24 @@ def _constant_field():
     (lambda: oscillation_profile(_constant_field(), (0.0, 0.0), 2.0, 0.5, -1), ValueError, "k_max"),
     (lambda: oscillation_profile(_constant_field(), (0.0, 0.0), 2.0, 0.5, 3).series("bogus"),
      ValueError, "unknown quantity"),
-    (lambda: caccioppoli_check(_constant_field(), lambda x, t: 1.5 * region_and_bump()[1](x, t),
-                               None, 2.0, region_and_bump()[0]), ValueError, "cutoff values"),
-], ids=["base_cylinder_without_cells", "negative_k_max", "unknown_series", "cutoff_above_1"])
+    (lambda: geometric_iteration_check(_constant_field(), (0.0, 0.0), 0.5, 2.0, 1.0, 3),
+     ValueError, "lam must lie"),
+    (lambda: geometric_iteration_check(_constant_field(), (0.0, 0.0), 0.5, 2.0, 0.0, 3),
+     ValueError, "lam must lie"),
+    (lambda: geometric_iteration_check(_constant_field(), (0.0, 0.0), 0.5, 2.0, 2.0, 3),
+     ValueError, "lam must lie"),
+    (lambda: geometric_iteration_check(_constant_field(), (0.0, 0.0), 0.5, 2.0, 0.5, -1),
+     ValueError, "k_max"),
+    (lambda: time_direction_oscillations(_constant_field(), (0.0, 0.0), 2.0, 1.0, 3),
+     ValueError, "lam must lie"),
+    (lambda: time_direction_oscillations(_constant_field(), (0.0, 0.0), 2.0, 0.5, -1),
+     ValueError, "k_max"),
+], ids=["base_cylinder_without_cells", "negative_k_max", "unknown_series",
+        "geometric_lam_1", "geometric_lam_0", "geometric_lam_2", "geometric_negative_k_max",
+        "time_direction_lam_1", "time_direction_negative_k_max"])
 def test_lab_rejects_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()
-
-
-def test_caccioppoli_allocates_about_one_field():
-    """A check on a region holding about 1% of a large field differentiates only the
-    region's block: its peak is the cutoff's whole-grid sample, which the range check
-    reads, not five whole-grid arrays."""
-    g = GridSpec.one_d(-4.0, 4.0, 801, -16.0, 0.0, 401)
-    region = Rectangle.one_d(-0.4, 0.4, -2.0, -0.4)
-    cutoff = expression("bump", x_support=region.x_extent, t_support=region.t_extent)
-    rng = np.random.default_rng(5)
-    caccioppoli_check(SpaceTimeField(g, rng.normal(size=(g.nt, *g.nx))), cutoff, None, 2.0, region)
-    f = SpaceTimeField(g, rng.normal(size=(g.nt, *g.nx)))
-    tracemalloc.start()
-    try:
-        caccioppoli_check(f, cutoff, None, 2.0, region)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * f.values.nbytes
 
 
 @pytest.mark.parametrize("grid, center", [

@@ -157,3 +157,15 @@ def test_every_dataclass_default_is_used_by_some_construction(module):
                        if stmt.value is not None
                        and all(_must_set(call, index, stmt.target.id) for call in calls)]
     assert always_set == []
+
+
+ERRORS = [cls.name for cls in MODULES["errors"].body if isinstance(cls, ast.ClassDef)]
+# names under the exception of every ``raise`` in every module but errors.py
+RAISED = {name for module, tree in MODULES.items() if module != "errors"
+          for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None
+          for name in _names_read(node.exc)}
+
+
+@pytest.mark.parametrize("error", [name for name in ERRORS if name != "HolderLabError"])
+def test_every_error_type_is_raised_somewhere(error):
+    assert error in RAISED

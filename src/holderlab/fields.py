@@ -259,9 +259,6 @@ class Rectangle:
     def time_window(self):
         return self.t_extent
 
-    def space_bounds(self):
-        return self.x_extent
-
     def space_mask(self, *mesh):
         m = np.ones(np.broadcast(*mesh).shape, dtype=bool)
         for (lo, hi), c in zip(self.x_extent, mesh):

@@ -7,21 +7,17 @@ cylinders, which makes oscillation ladders monotone by construction.
 Every rescaling is v(x, t) = b^A u(b^B x, b^C t) with a base b in (0, 1].
 It keeps u_t - div(m u^(m-1) |grad u|^(p-2) grad u) exactly when
 C = (m + p - 3) A + p B, and its source is f~ = b^(A + C) f(b^B x, b^C t).
-Each kind is one row:
+Each kind is one row, and ``_row`` computes C from (p, m) for both:
 
-* ``PPOISSON_NORMALIZE``  b = rho,    B = 0,  C = p - 2,                  A = 1
-* ``PME_NORMALIZE``       b = rho,    B = a,  C = (m - 1) + 2a,           A = 1
-* ``DNL_NORMALIZE``       b = rho,    B = a,  C = (m - 1) + (p - 2) + pa, A = 1
-* ``PME_ZOOM``            b = lam^k,  B = 1,  C = theta,                  A = -gamma
+* ``NORMALIZE``  b = rho,    A = 1,       B = a >= 0
+* ``ZOOM``       b = lam^k,  A = -gamma,  B = 1
 
-The normalize rows are the ``DNL_NORMALIZE`` row with (a, m) = (0, 1)
-pinned, and with p = 2 pinned.  ``PME_ZOOM`` requires alpha = 2 - theta +
-gamma (alpha = m gamma at p = 2), so its source factor is lam^(k (2 - alpha)).
+ZOOM's C is ``exponents.dnl_theta(p, m, gamma)``, and it must be >= 1, as
+an ``IntrinsicCylinder``'s theta must.
 
-``smallness`` picks the row from (p, m): at m = 1 ``PPOISSON_NORMALIZE``
-and the p-average of v; at m > 1 the row with a = 1 (``PME_NORMALIZE`` at
-p = 2, ``DNL_NORMALIZE`` otherwise) and the sup of v.  Its source-norm
-exponent e(a) = r (1 + C - a n/q) - C is affine in a with e(0) > 0, so when
+``smallness`` normalizes with a = 0 and the p-average of v at m = 1, and
+with a = 1 and the sup of v at m > 1.  Its source-norm exponent
+e(a) = r (1 + C - a n/q) - C is affine in a with e(0) > 0, so when
 e(1) <= 0 no larger a helps and the search fails before any candidate.
 """
 
@@ -100,9 +96,6 @@ class IntrinsicCylinder:
 
     def space_mask(self, *mesh):
         return _dist2(mesh, self.x0) <= self.tau**2
-
-    def shrunk(self, factor: float) -> "IntrinsicCylinder":
-        return IntrinsicCylinder(self.x0, self.t0, self.tau * factor, self.theta)
 
     def contained_in(self, grid: GridSpec) -> bool:
         return _box_inside((*self.space_bounds(), self.time_window()), grid)
@@ -199,18 +192,8 @@ def _lqr(flat: np.ndarray, grid: GridSpec, q: float, r: float) -> float:
 
 
 class ScalingKind(Enum):
-    PPOISSON_NORMALIZE = "ppoisson_normalize"
-    PME_ZOOM = "pme_zoom"
-    PME_NORMALIZE = "pme_normalize"
-    DNL_NORMALIZE = "dnl_normalize"
-
-
-# the exponents each normalize kind fixes (no other value is accepted); the rest come from the params
-_PINNED = {
-    ScalingKind.PPOISSON_NORMALIZE: dict(a=0.0, m=1.0),
-    ScalingKind.PME_NORMALIZE: dict(p=2.0),
-    ScalingKind.DNL_NORMALIZE: {},
-}
+    NORMALIZE = "normalize"
+    ZOOM = "zoom"
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,27 +224,25 @@ def _require(cond, msg):
 
 def _row(kind: ScalingKind, params) -> tuple[float, float, float, float]:
     """(b, B, C, A): the base and the space, time and amplitude exponents of ``kind``."""
-    if kind is ScalingKind.PME_ZOOM:
-        lam, k = params["lam"], params.get("k", 1)
-        theta, gamma, alpha = params["theta"], params["gamma"], params["alpha"]
+    need = ("p", "m", *(("lam", "gamma") if kind is ScalingKind.ZOOM else ("rho", "a")))
+    _require(all(key in params for key in need), f"{kind.value} needs {need}, got {sorted(params)}")
+    p, m = params["p"], params["m"]
+    _require(p >= 2.0, "p must be >= 2")
+    _require(m >= 1.0, "m must be >= 1")
+    if kind is ScalingKind.ZOOM:
+        lam, k, gamma = params["lam"], params.get("k", 1), params["gamma"]
         _require(0.0 < lam <= 1.0, "lam must lie in (0, 1]")
         _require(k >= 1 and int(k) == k, "k must be a positive integer")
-        _require(theta >= 1.0, "theta must be >= 1")
         _require(gamma > 0.0, "gamma must be positive")
-        _require(0.0 < alpha <= 1.0, "alpha must lie in (0, 1]")
-        _require(abs(alpha - (2.0 - theta + gamma)) <= _REL_TOL,
-                 "alpha must equal 2 - theta + gamma")
-        return lam ** float(k), 1.0, theta, -gamma
-    rho = params["rho"]
-    _require(0.0 < rho <= 1.0, "rho must lie in (0, 1]")
-    pinned = _PINNED[kind]
-    _require(all(params.get(k, v) == v for k, v in pinned.items()), f"{kind.value} pins {pinned}")
-    exps = {**params, **pinned}
-    p, a, m = exps["p"], exps["a"], exps["m"]
-    _require(p >= 2.0, "p must be >= 2")
-    _require(a > 0.0 or "a" in pinned, "a must be positive")
-    _require(m >= 1.0, "m must be >= 1")
-    return rho, a, (m - 1.0) + (p - 2.0) + p * a, 1.0
+        b, space, amplitude = lam ** float(k), 1.0, -gamma
+    else:
+        rho, a = params["rho"], params["a"]
+        _require(0.0 < rho <= 1.0, "rho must lie in (0, 1]")
+        _require(a >= 0.0, "a must be nonnegative")
+        b, space, amplitude = rho, a, 1.0
+    time = (m + p - 3.0) * amplitude + p * space
+    _require(kind is ScalingKind.NORMALIZE or time >= 1.0, "theta must be >= 1")
+    return b, space, time, amplitude
 
 
 def build_scaling(kind: ScalingKind, **params) -> AnisotropicScaling:
@@ -335,8 +316,7 @@ class ScalingNormFactor:
     For the row (b, B, C, A) of the scaling the factor is b^(e/r) with
     ``exponent_e`` e = r (A + C - B n/q) - C; at r = inf, e is the limit of
     e/r and the factor is b^e.  ``exponent_nonnegative`` is e >= 0, so for
-    b < 1 exactly when the factor is <= 1.  For ``PME_NORMALIZE`` e is
-    (m + 2a) r - a (n r/q + 2) - (m - 1).
+    b < 1 exactly when the factor is <= 1.
     """
 
     factor: float
@@ -365,7 +345,7 @@ def _norm_exponent(row, n: int, q: float, r: float) -> float:
 @dataclass
 class SmallnessResult:
     rho: float
-    a: int | None
+    a: int
     scaling: AnisotropicScaling
     v: SpaceTimeField
     f_scaled: SpaceTimeField
@@ -399,8 +379,8 @@ def smallness(
     epsilon: float = 1e-2,
 ) -> SmallnessResult:
     """Largest rho in (0, 1), by bisection, with v = rho u(rho^a x, rho^C t) in the smallness
-    regime ||v||_{G1} <= 1, ||f~||_{q,r;G1} <= epsilon; the row and the norm of v of the
-    family of ``params`` follow the rule in the module docstring.
+    regime ||v||_{G1} <= 1, ||f~||_{q,r;G1} <= epsilon; a and the norm of v follow from
+    the m of ``params`` by the rule in the module docstring.
 
     Each candidate's norms are read on the node block that holds G1's cells,
     sampled with the same operations as ``apply_scaling``, so they equal the
@@ -416,11 +396,9 @@ def smallness(
     if not params.n == u_field.grid.dim == f_field.grid.dim:
         raise ValueError(f"params.n = {params.n} but u is {u_field.grid.dim}D "
                          f"and f is {f_field.grid.dim}D")
-    kind = (ScalingKind.PPOISSON_NORMALIZE if params.m == 1.0 else
-            ScalingKind.PME_NORMALIZE if params.p == 2.0 else ScalingKind.DNL_NORMALIZE)
-    exps = {k: v for k, v in dict(p=params.p, a=1.0, m=params.m).items() if k not in _PINNED[kind]}
-    a, v_power = (None, params.p) if kind is ScalingKind.PPOISSON_NORMALIZE else (1, math.inf)
-    if (e := _norm_exponent(_row(kind, dict(rho=1.0, **exps)), params.n, q, r)) <= 0.0:
+    a, v_power = (0, params.p) if params.m == 1.0 else (1, math.inf)
+    exps = dict(p=params.p, m=params.m, a=float(a))
+    if (e := _norm_exponent(_row(ScalingKind.NORMALIZE, dict(rho=1.0, **exps)), params.n, q, r)) <= 0.0:
         raise SmallnessSearchFailed(f"the source-norm exponent is {e:.3g} <= 0 at a = 1; e(a) "
                                     "is affine with e(0) > 0, so that rules out every a >= 1")
     g1 = IntrinsicCylinder((0.0,) * params.n, 0.0, 1.0, 2.0)
@@ -428,7 +406,7 @@ def smallness(
     best, lo, hi = None, 0.0, 1.0
     for it in range(1, _SMALLNESS_STEPS + 1):
         rho = 0.5 * (lo + hi)
-        sc = build_scaling(kind, rho=rho, **exps)
+        sc = build_scaling(ScalingKind.NORMALIZE, rho=rho, **exps)
         v_norm = _p_avg(u_cells(sc, sc.amplitude_factor), v_power)
         f_norm = _lqr(f_cells(sc, sc.source_factor), f_field.grid, q, r)
         if v_norm <= 1.0 and f_norm <= epsilon:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroLevels, EmptyIntersection, InsufficientLevels
+from .errors import AllZeroLevels, CylinderOutsideDomain, EmptyIntersection, InsufficientLevels
 from .fields import SpaceTimeField, _region_cell_row, _region_cells, interpolate_eval
-from .geometry import make_cylinder, sup_oscillation
+from .geometry import _box_inside, make_cylinder, sup_oscillation
 
 __all__ = [
     "ProfileLevel",
@@ -55,7 +55,6 @@ class OscillationProfile:
     p: float
     levels: tuple[ProfileLevel, ...]
     grid_dx: float
-    grid_dt: float
 
     @property
     def k_max_effective(self) -> int:
@@ -184,7 +183,7 @@ def oscillation_profile(
         c_k, dist = _golden_best_constant(vals, p, rows)
         levels.append(ProfileLevel(k, tau, osc, sup_abs, dist, c_k))
     return OscillationProfile(
-        tuple(center), theta, lam, k_max, base_radius, p, tuple(levels), max(g.dx), g.dt
+        tuple(center), theta, lam, k_max, base_radius, p, tuple(levels), max(g.dx)
     )
 
 
@@ -363,7 +362,8 @@ def time_direction_oscillations(
     the time distance tau^theta.  The segments need no spatial resolution,
     so this ladder stops only when tau^theta falls under one time step, and
     tests that at k = 0 too; it does not use the cylinder ladder's stop rule.
-    ``lam`` and ``k_max`` are checked as in ``oscillation_profile``.
+    ``lam`` and ``k_max`` are checked as in ``oscillation_profile``.  Raises
+    ``CylinderOutsideDomain`` if a segment leaves the grid.
     """
     _require_ladder(lam, k_max)
     *x0, t0 = center
@@ -374,6 +374,8 @@ def time_direction_oscillations(
         extent = tau**theta
         if extent < g.dt:
             break
+        if not _box_inside((*((c, c) for c in x0), (t0 - extent, t0)), g):
+            raise CylinderOutsideDomain(f"the segment {x0} x ({t0 - extent}, {t0}] escapes the grid")
         ts = g.t_nodes
         sel = ts[(ts >= t0 - extent) & (ts <= t0)]
         sel = np.append(sel, t0)

@@ -16,7 +16,15 @@ from holderlab.errors import (
     ScaledDomainEscapes,
     SmallnessSearchFailed,
 )
-from holderlab.exponents import EquationParams
+from holderlab.exponents import (
+    EquationKind,
+    EquationParams,
+    HomogeneousExponent,
+    SourceIntegrability,
+    check_admissibility,
+    dnl_theta,
+    sharp_exponents,
+)
 from holderlab.fields import (
     GridSpec,
     Rectangle,
@@ -68,8 +76,7 @@ def test_make_cylinder_examples():
 
 def test_cylinder_nesting():
     c = make_cylinder((0.1, -0.2), 0.4, 1.8)
-    inner = c.shrunk(0.5)
-    assert inner.tau == pytest.approx(0.2)
+    inner = make_cylinder((0.1, -0.2), 0.2, 1.8)
     (lo_o, hi_o), = c.space_bounds()
     (lo_i, hi_i), = inner.space_bounds()
     assert lo_o < lo_i and hi_i < hi_o
@@ -197,7 +204,7 @@ def test_lqr_infinity_exponents():
 
 
 def test_build_scaling_ppoisson_normalize():
-    sc = build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0)
+    sc = build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=3.0, m=1.0, a=0.0)
     assert (sc.space_factor, sc.time_factor, sc.amplitude_factor, sc.source_factor) == (
         1.0, 0.5, 0.5, 0.25)
     assert sc.time_factor == sc.amplitude_factor ** (3.0 - 2.0)
@@ -205,19 +212,19 @@ def test_build_scaling_ppoisson_normalize():
 
 
 def test_build_scaling_pme_zoom():
-    sc = build_scaling(ScalingKind.PME_ZOOM, lam=0.25, k=1, theta=1.5, gamma=0.5, alpha=1.0)
+    sc = build_scaling(ScalingKind.ZOOM, lam=0.25, k=1, p=2.0, m=2.0, gamma=0.5)
     assert sc.space_factor == 0.25
     assert sc.time_factor == pytest.approx(0.25**1.5, abs=1e-15)
     assert sc.amplitude_factor == pytest.approx(2.0, abs=1e-15)
     # source transforms with the same contraction that multiplies the
-    # operator under the zoom: lam^(2 - alpha)
+    # operator under the zoom: lam^(2 - m gamma)
     assert sc.source_factor == pytest.approx(0.25, abs=1e-15)
     assert sc.time_factor == sc.space_factor**1.5
     assert sc.amplitude_factor == sc.space_factor**-0.5
 
 
 def test_build_scaling_pme_normalize():
-    sc = build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, a=1.0, m=2.0)
+    sc = build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=2.0, m=2.0, a=1.0)
     assert sc.space_factor == 0.5
     assert sc.time_factor == 0.5 ** ((2.0 - 1.0) + 2.0)
     assert sc.amplitude_factor == 0.5
@@ -226,10 +233,10 @@ def test_build_scaling_pme_normalize():
 
 def test_build_scaling_identity():
     for kind, params in [
-        (ScalingKind.PPOISSON_NORMALIZE, dict(rho=1.0, p=3.0)),
-        (ScalingKind.PME_ZOOM, dict(lam=1.0, k=1, theta=1.5, gamma=0.5, alpha=1.0)),
-        (ScalingKind.PME_NORMALIZE, dict(rho=1.0, a=1.0, m=2.0)),
-        (ScalingKind.DNL_NORMALIZE, dict(rho=1.0, p=3.0, a=1.0, m=2.0)),
+        (ScalingKind.NORMALIZE, dict(rho=1.0, p=3.0, m=1.0, a=0.0)),
+        (ScalingKind.ZOOM, dict(lam=1.0, k=1, p=2.0, m=2.0, gamma=0.5)),
+        (ScalingKind.NORMALIZE, dict(rho=1.0, p=2.0, m=2.0, a=1.0)),
+        (ScalingKind.NORMALIZE, dict(rho=1.0, p=3.0, m=2.0, a=1.0)),
     ]:
         sc = build_scaling(kind, **params)
         assert (sc.space_factor, sc.time_factor, sc.amplitude_factor, sc.source_factor) == (
@@ -237,23 +244,31 @@ def test_build_scaling_identity():
 
 
 def test_build_scaling_validation():
-    with pytest.raises(InvalidScaleParameter):
-        build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=1.5, p=3.0)
-    with pytest.raises(InvalidScaleParameter):
-        build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, a=0.0, m=2.0)
-    with pytest.raises(InvalidScaleParameter):
-        build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=0, theta=1.5, gamma=0.5, alpha=1.0)
-    with pytest.raises(InvalidScaleParameter, match="alpha must equal"):
-        build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=1, theta=1.5, gamma=0.5, alpha=0.9)
-    # an exponent the kind pins may be given only with the pinned value
-    for kind, exps in ((ScalingKind.PPOISSON_NORMALIZE, dict(p=3.0, m=3.0)),
-                       (ScalingKind.PPOISSON_NORMALIZE, dict(p=3.0, a=2.0)),
-                       (ScalingKind.PME_NORMALIZE, dict(p=3.0, a=1.0, m=2.0))):
-        with pytest.raises(InvalidScaleParameter, match="pins"):
-            build_scaling(kind, rho=0.5, **exps)
-    # the pinned value itself is accepted: the time factors are rho^(p - 2) and rho^(m - 1 + 2a)
-    assert build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0, m=1.0, a=0.0).time_factor == 0.5
-    assert build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, p=2.0, a=1.0, m=2.0).time_factor == 0.125
+    for kind, params, match in [
+        (ScalingKind.NORMALIZE, dict(rho=1.5, p=3.0, m=1.0, a=0.0), "rho must lie"),
+        (ScalingKind.NORMALIZE, dict(rho=0.0, p=3.0, m=1.0, a=0.0), "rho must lie"),
+        (ScalingKind.NORMALIZE, dict(rho=0.5, p=2.0, m=2.0, a=-1.0), "a must be nonnegative"),
+        (ScalingKind.NORMALIZE, dict(rho=0.5, p=1.5, m=1.0, a=0.0), "p must be >= 2"),
+        (ScalingKind.NORMALIZE, dict(rho=0.5, p=2.0, m=0.5, a=1.0), "m must be >= 1"),
+        (ScalingKind.ZOOM, dict(lam=1.5, p=2.0, m=2.0, gamma=0.5), "lam must lie"),
+        (ScalingKind.ZOOM, dict(lam=0.5, k=0, p=2.0, m=2.0, gamma=0.5), "k must be a positive integer"),
+        (ScalingKind.ZOOM, dict(lam=0.5, k=1.5, p=2.0, m=2.0, gamma=0.5), "k must be a positive integer"),
+        (ScalingKind.ZOOM, dict(lam=0.5, p=2.0, m=2.0, gamma=0.0), "gamma must be positive"),
+        (ScalingKind.ZOOM, dict(lam=0.5, p=2.0, m=0.5, gamma=0.5), "m must be >= 1"),
+        # C = p - (m + p - 3) gamma = 0 here, and a zoomed cylinder needs theta >= 1
+        (ScalingKind.ZOOM, dict(lam=0.5, p=2.0, m=3.0, gamma=1.0), "theta must be >= 1"),
+    ]:
+        with pytest.raises(InvalidScaleParameter, match=match):
+            build_scaling(kind, **params)
+    # every exponent but k is required: p and m have no default
+    for kind, params in [(ScalingKind.NORMALIZE, dict(rho=0.5, p=3.0, m=1.0, a=0.0)),
+                         (ScalingKind.ZOOM, dict(lam=0.5, p=2.0, m=2.0, gamma=0.5))]:
+        for missing in params:
+            with pytest.raises(InvalidScaleParameter, match=f"{kind.value} needs"):
+                build_scaling(kind, **{k: v for k, v in params.items() if k != missing})
+    # the family rows: the time factors are rho^(p - 2) at (a, m) = (0, 1) and rho^(m - 1 + 2a) at p = 2
+    assert build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=3.0, m=1.0, a=0.0).time_factor == 0.5
+    assert build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=2.0, m=2.0, a=1.0).time_factor == 0.125
 
 
 def test_unknown_scaling_kind_raises_value_error():
@@ -262,18 +277,18 @@ def test_unknown_scaling_kind_raises_value_error():
     sc = AnisotropicScaling("pme_rotate", 1.0, 1.0, 1.0, 1.0, {})
     with pytest.raises(ValueError):
         scaling_norm_factor(sc, 2.0, 2.0, 1)
-    by_value = build_scaling("pme_normalize", rho=0.5, a=1.0, m=2.0)
-    assert by_value.kind is ScalingKind.PME_NORMALIZE
+    by_value = build_scaling("normalize", rho=0.5, p=2.0, m=2.0, a=1.0)
+    assert by_value.kind is ScalingKind.NORMALIZE
 
 
 def test_apply_scaling_identity_and_linear():
     g = g1_grid(101, 41)
     f = sample(expression("affine", slopes=(1.0,)), g)
-    ident = build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=1.0, p=3.0)
+    ident = build_scaling(ScalingKind.NORMALIZE, rho=1.0, p=3.0, m=1.0, a=0.0)
     same = apply_scaling(f, ident, grid=g)
     assert np.allclose(same.values, f.values, atol=1e-14)
 
-    sc = build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=1, theta=1.5, gamma=0.5, alpha=1.0)
+    sc = build_scaling(ScalingKind.ZOOM, lam=0.5, k=1, p=2.0, m=2.0, gamma=0.5)
     v = apply_scaling(f, sc, grid=g)
     xs = g.x_nodes(0)
     expected = sc.amplitude_factor * sc.space_factor * xs
@@ -286,7 +301,7 @@ def test_apply_scaling_identity_and_linear():
 ])
 def test_apply_scaling_equals_per_level_interp(grid):
     f = sample(lambda *a: np.sin(3.0 * sum(a[:-1]) + a[-1]) + np.abs(a[0] - 0.013) ** 0.6, grid)
-    sc = build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, a=1.0, m=2.0)
+    sc = build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=2.0, m=2.0, a=1.0)
     v = apply_scaling(f, sc, grid=grid)
     mesh = [np.clip(x * sc.space_factor, *grid.x_extent[a]) for a, x in enumerate(grid.node_mesh())]
     t_lo, t_hi = grid.t_extent
@@ -299,7 +314,7 @@ def test_apply_scaling_equals_per_level_interp(grid):
 def test_apply_scaling_escape_raises():
     g = g1_grid(101, 41)
     f = sample(expression("zero"), g)
-    sc = build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=1, theta=1.5, gamma=0.5, alpha=1.0)
+    sc = build_scaling(ScalingKind.ZOOM, lam=0.5, k=1, p=2.0, m=2.0, gamma=0.5)
     big = GridSpec.one_d(-4.0, 4.0, 11, -1.0, 0.0, 5)
     with pytest.raises(ScaledDomainEscapes):
         apply_scaling(f, sc, grid=big)
@@ -311,7 +326,7 @@ def test_pme_zoom_preserves_equation():
     g = GridSpec.one_d(-3.0, 3.0, 1025, 1.0, 2.0, 401)
     u = sample_reference(ref, g)
     params = EquationParams.pme(2.0, 1)
-    sc = build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=1, theta=1.5, gamma=0.5, alpha=1.0)
+    sc = build_scaling(ScalingKind.ZOOM, lam=0.5, k=1, p=2.0, m=2.0, gamma=0.5)
     v = apply_scaling(u, sc)  # default preimage grid
     r_u = residual(u, params).max_residual
     r_v = residual(v, params).max_residual
@@ -319,37 +334,31 @@ def test_pme_zoom_preserves_equation():
 
 
 def test_scaling_norm_factor_examples():
-    sc = build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=1, theta=1.5, gamma=0.5, alpha=1.0)
+    sc = build_scaling(ScalingKind.ZOOM, lam=0.5, k=1, p=2.0, m=2.0, gamma=0.5)
     rep = scaling_norm_factor(sc, 10.0, 10.0, 1)
     assert rep.exponent_e == pytest.approx(7.5, abs=1e-12)
     assert rep.exponent_nonnegative
     assert rep.factor == pytest.approx(0.5**0.75, rel=1e-12)
 
-    sn = build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, a=1.0, m=2.0)
+    sn = build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=2.0, m=2.0, a=1.0)
     rep2 = scaling_norm_factor(sn, 10.0, 10.0, 1)
     assert rep2.exponent_e == pytest.approx(36.0, abs=1e-12)
     assert rep2.exponent_nonnegative
 
-    ident = build_scaling(ScalingKind.PME_ZOOM, lam=1.0, k=1, theta=1.5, gamma=0.5, alpha=1.0)
+    ident = build_scaling(ScalingKind.ZOOM, lam=1.0, k=1, p=2.0, m=2.0, gamma=0.5)
     assert scaling_norm_factor(ident, 10.0, 10.0, 1).factor == 1.0
 
 
 # (kind, params, base b, the (p, m) whose operator the row keeps)
 _contraction = st.floats(1e-3, 1.0)
+_P, _M = st.floats(2.0, 12.0), st.floats(1.0, 6.0)
 _ROWS = st.one_of(
-    st.builds(lambda rho, p: (ScalingKind.PPOISSON_NORMALIZE, dict(rho=rho, p=p), rho, (p, 1.0)),
-              _contraction, st.floats(2.0, 12.0)),
-    st.builds(lambda rho, m, a: (ScalingKind.PME_NORMALIZE, dict(rho=rho, a=float(a), m=m), rho,
-                                 (2.0, m)),
-              _contraction, st.floats(1.0, 6.0), st.integers(1, 5)),
-    st.builds(lambda rho, p, m, a: (ScalingKind.DNL_NORMALIZE, dict(rho=rho, p=p, a=float(a), m=m),
-                                    rho, (p, m)),
-              _contraction, st.floats(2.0, 12.0), st.floats(1.0, 6.0), st.integers(1, 5)),
-    st.builds(lambda lam, k, gamma, alpha: (
-                  ScalingKind.PME_ZOOM,
-                  dict(lam=lam, k=k, theta=2.0 - alpha + gamma, gamma=gamma, alpha=alpha),
-                  lam ** float(k), (2.0, alpha / gamma)),
-              _contraction, st.integers(1, 3), st.floats(0.05, 3.0), st.floats(0.05, 1.0)),
+    st.builds(lambda rho, p, m, a: (ScalingKind.NORMALIZE, dict(rho=rho, p=p, m=m, a=a), rho, (p, m)),
+              _contraction, _P, _M, st.floats(0.0, 5.0)),
+    st.builds(lambda lam, k, p, m, gamma: (ScalingKind.ZOOM, dict(lam=lam, k=k, p=p, m=m, gamma=gamma),
+                                           lam ** float(k), (p, m)),
+              _contraction, st.integers(1, 3), _P, _M, st.floats(0.05, 1.0))
+    .filter(lambda row: dnl_theta(*row[3], row[1]["gamma"]) >= 1.0),
 )
 
 
@@ -369,13 +378,29 @@ def test_rescaling_identities(row, q, r, n):
     assert rep.exponent_nonnegative == (rep.exponent_e >= 0.0)
 
 
+def test_the_predicted_theta_is_the_zoom_rows_time_exponent():
+    """The zoom by lam with gamma = ``alpha_space`` has time factor lam^``theta`` bitwise:
+    its C = (m + p - 3)(-gamma) + p rounds as ``dnl_theta``'s p - (m + p - 3) gamma."""
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 300:
+        p = 2.0 if rng.random() < 0.25 else float(rng.uniform(2.0, 8.0))
+        m = 1.0 if rng.random() < 0.25 else float(rng.uniform(1.0, 5.0))
+        ir = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 0.95))
+        params = EquationParams(EquationKind.DOUBLY_NONLINEAR, int(rng.integers(1, 5)), p=p, m=m)
+        integ = SourceIntegrability(1.0 / rng.uniform(0.01, 0.95), math.inf if ir == 0.0 else 1.0 / ir)
+        if not check_admissibility(params, integ).admissible:
+            continue
+        report = sharp_exponents(params, integ, HomogeneousExponent(float(rng.uniform(0.05, 1.0))))
+        if report.theta < 1.0:  # a zoom row needs theta >= 1
+            continue
+        sc = build_scaling(ScalingKind.ZOOM, lam=0.5, p=p, m=m, gamma=report.alpha_space)
+        assert sc.time_factor == 0.5**report.theta
+        checked += 1
+
+
 def _normalize_exponent(p, m, a, n, q, r):
-    sc = build_scaling(ScalingKind.DNL_NORMALIZE, rho=0.5, p=p, a=float(a), m=m)
-    return scaling_norm_factor(sc, q, r, n).exponent_e
-
-
-def _pme_normalize_exponent(m, a, n, q, r):
-    sc = build_scaling(ScalingKind.PME_NORMALIZE, rho=0.5, a=float(a), m=m)
+    sc = build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=p, m=m, a=float(a))
     return scaling_norm_factor(sc, q, r, n).exponent_e
 
 
@@ -385,7 +410,7 @@ def _pme_normalize_exponent(m, a, n, q, r):
        q=st.one_of(st.floats(1.0, 100.0), st.just(math.inf)),
        r=st.one_of(st.floats(1.01, 100.0), st.just(math.inf)))
 def test_no_a_above_one_makes_a_nonpositive_source_exponent_positive(p, m, n, q, r):
-    # e(a) = r (1 + C - a n/q) - C with C = (m - 1) + (p - 2) + p a is affine in a,
+    # e(a) = r (1 + C - a n/q) - C with C = (m + p - 3) + p a is affine in a,
     # so e(0) = 2 e(1) - e(2), and e(0) > 0 makes the slope negative once e(1) <= 0
     e1, e2 = (_normalize_exponent(p, m, a, n, q, r) for a in (1, 2))
     e0 = 2.0 * e1 - e2
@@ -421,13 +446,13 @@ def test_smallness_search_pme():
 # -- smallness search against the full-grid loop -----------------------------
 
 
-def _full_grid_search(kind, params, a, v_power, u, f, q, r, epsilon=1e-2, max_iter=60):
+def _full_grid_search(params, a, v_power, u, f, q, r, epsilon=1e-2, max_iter=60):
     """The smallness bisection that rescales both whole fields at every candidate."""
     g1 = IntrinsicCylinder((0.0,) * u.grid.dim, 0.0, 1.0, 2.0)
     best, lo, hi = None, 0.0, 1.0
     for it in range(1, max_iter + 1):
         rho = 0.5 * (lo + hi)
-        sc = build_scaling(kind, rho=rho, **params)
+        sc = build_scaling(ScalingKind.NORMALIZE, rho=rho, **params)
         v = apply_scaling(u, sc, grid=u.grid)
         f_scaled = apply_scaling(f, sc, grid=f.grid, role="source")
         v_norm = p_avg_norm(v, g1, v_power).value
@@ -473,21 +498,21 @@ def test_smallness_search_equals_full_grid_loop(g, family):
     u, f = _smallness_fields(g)
     if family == "dnl":
         res = smallness(EquationParams.doubly_nonlinear(3.0, 2.0, g.dim), u, f, 10.0, 10.0)
-        ref = _full_grid_search(ScalingKind.DNL_NORMALIZE, dict(p=3.0, a=1.0, m=2.0), 1, math.inf,
+        ref = _full_grid_search(dict(p=3.0, m=2.0, a=1.0), 1, math.inf,
                                 u, f, 10.0, 10.0)
     elif family == "pparabolic":
         res = pparabolic_smallness(u, f, p=3.0, q=4.0, r=4.0)
-        ref = _full_grid_search(ScalingKind.PPOISSON_NORMALIZE, dict(p=3.0), None, 3.0,
+        ref = _full_grid_search(dict(p=3.0, m=1.0, a=0.0), 0, 3.0,
                                 u, f, 4.0, 4.0)
     elif family == "dnl_rough":
         u, f = _rough_smallness_fields(g)
         res = smallness(EquationParams.doubly_nonlinear(3.0, 2.0, g.dim), u, f, 10.0, 10.0)
-        ref = _full_grid_search(ScalingKind.DNL_NORMALIZE, dict(p=3.0, a=1.0, m=2.0), 1, math.inf,
+        ref = _full_grid_search(dict(p=3.0, m=2.0, a=1.0), 1, math.inf,
                                 u, f, 10.0, 10.0)
         assert res.v_norm < 0.5  # the source, not v, stops the search
     else:
         res = smallness(EquationParams.pme(2.0, g.dim), u, f, 10.0, 10.0)
-        ref = _full_grid_search(ScalingKind.PME_NORMALIZE, dict(a=1.0, m=2.0), 1, math.inf,
+        ref = _full_grid_search(dict(p=2.0, m=2.0, a=1.0), 1, math.inf,
                                 u, f, 10.0, 10.0)
     rho, a, sc, v, f_scaled, v_norm, f_norm, it = ref
     assert 1 < it <= 60  # a search that moved, not the first candidate
@@ -542,7 +567,7 @@ def test_smallness_search_without_g1_cells_raises_before_any_candidate(monkeypat
 def test_pme_smallness_without_a_positive_exponent_raises_before_any_candidate(monkeypatch):
     # m = 2, n = 2, q = 1, r = 1.01: the exponent (m + 2a) r - a (n r/q + 2) - (m - 1)
     # is 1.02 - 2a, so -0.98, -2.98, ...
-    assert [_pme_normalize_exponent(2.0, a, 2, 1.0, 1.01) for a in (1, 2)] == \
+    assert [_normalize_exponent(2.0, 2.0, a, 2, 1.0, 1.01) for a in (1, 2)] == \
         pytest.approx([-0.98, -2.98], abs=1e-12)
     u, f = _smallness_fields(GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 11, 11, -1.0, 0.0, 6))
     calls = []
@@ -718,9 +743,9 @@ def test_smallness_of_one_row_fields_matches_their_copies(g, params):
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: apply_scaling(_unit_field(), build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0),
+    (lambda: apply_scaling(_unit_field(), build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=3.0, m=1.0, a=0.0),
                            role="bogus"), ValueError, "role"),
-    (lambda: AnisotropicScaling(ScalingKind.PME_ZOOM, 1.0, 0.0, 1.0, 1.0, {}), InvalidScaleParameter,
+    (lambda: AnisotropicScaling(ScalingKind.ZOOM, 1.0, 0.0, 1.0, 1.0, {}), InvalidScaleParameter,
      "time_factor"),
     (lambda: pparabolic_smallness(*_smallness_fields(g1_grid(41, 21)), p=3.0, q=0.0, r=4.0),
      ValueError, "q and r must be >= 1"),
@@ -730,11 +755,11 @@ def test_smallness_of_one_row_fields_matches_their_copies(g, params):
                                   epsilon=0.0), ValueError, "epsilon must be positive"),
     (lambda: smallness(EquationParams.pme(2.0, 1), *_smallness_fields(g1_grid(41, 21)), 10.0, 10.0,
                        epsilon=math.nan), ValueError, "epsilon must be positive"),
-    (lambda: scaling_norm_factor(build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0),
+    (lambda: scaling_norm_factor(build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=3.0, m=1.0, a=0.0),
                                  0.0, 2.0, 1), ValueError, "q and r must be >= 1"),
-    (lambda: scaling_norm_factor(build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0),
+    (lambda: scaling_norm_factor(build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=3.0, m=1.0, a=0.0),
                                  2.0, 0.0, 1), ValueError, "q and r must be >= 1"),
-    (lambda: scaling_norm_factor(build_scaling(ScalingKind.PPOISSON_NORMALIZE, rho=0.5, p=3.0),
+    (lambda: scaling_norm_factor(build_scaling(ScalingKind.NORMALIZE, rho=0.5, p=3.0, m=1.0, a=0.0),
                                  0.5, 2.0, 1), ValueError, "q and r must be >= 1"),
 ], ids=["apply_scaling_role", "zero_time_factor", "smallness_q_0", "smallness_r_0",
         "smallness_epsilon_0", "smallness_epsilon_nan", "norm_factor_q_0", "norm_factor_r_0",
@@ -747,8 +772,8 @@ def test_scalings_reject_bad_input(call, error, match):
 def test_pme_smallness_exponent_at_infinite_r_is_the_limit_over_r():
     # e = (m + 2a) r - a (n r/q + 2) - (m - 1); its limit e/r is m + 2a - a n/q = 3.75 here
     for m, a, n, q, r in [(2.0, 1, 1, 4.0, 3.0), (3.0, 2, 2, 1.5, 10.0), (1.5, 1, 3, 5.0, 1.01)]:
-        assert _pme_normalize_exponent(m, a, n, q, r) == pytest.approx(
+        assert _normalize_exponent(2.0, m, a, n, q, r) == pytest.approx(
             (m + 2 * a) * r - a * (n * r / q + 2) - (m - 1), rel=1e-12, abs=1e-12)
-    assert _pme_normalize_exponent(2.0, 1, 1, 4.0, math.inf) == 3.75
+    assert _normalize_exponent(2.0, 2.0, 1, 1, 4.0, math.inf) == 3.75
     r = 1e9
-    assert _pme_normalize_exponent(2.0, 1, 1, 4.0, r) / r == pytest.approx(3.75, rel=1e-8)
+    assert _normalize_exponent(2.0, 2.0, 1, 1, 4.0, r) / r == pytest.approx(3.75, rel=1e-8)

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from holderlab.errors import AllZeroLevels, EmptyIntersection, InsufficientLevels
+from holderlab.errors import AllZeroLevels, CylinderOutsideDomain, EmptyIntersection, InsufficientLevels
 from holderlab.fields import GridSpec, SpaceTimeField, _region_cells, expression, sample
 from holderlab.geometry import IntrinsicCylinder, ScalingKind, apply_scaling, build_scaling
 from holderlab.lab import (
@@ -42,7 +42,7 @@ def synthetic_profile(exponent, k_max=6, base=0.5, lam=0.5):
         )
         for k in range(k_max + 1)
     )
-    return OscillationProfile((0.0, 0.0), 2.0, lam, k_max, base, 2.0, levels, 1e-6, 1e-6)
+    return OscillationProfile((0.0, 0.0), 2.0, lam, k_max, base, 2.0, levels, 1e-6)
 
 
 # -- profiles -----------------------------------------------------------------
@@ -198,7 +198,7 @@ def test_fit_insufficient_and_all_zero():
     zeros = OscillationProfile(
         (0.0, 0.0), 2.0, 0.5, 3, 0.5, 2.0,
         tuple(ProfileLevel(k, 0.5 * 0.5**k, 0.0, 0.0, 0.0, 0.0) for k in range(4)),
-        1e-6, 1e-6,
+        1e-6,
     )
     with pytest.raises(AllZeroLevels):
         fit_exponent(zeros, window=(0, 3))
@@ -286,7 +286,8 @@ def test_scaling_covariance_shifts_profile_one_level():
     f = sample(lambda x, t: np.sin(2.1 * x + 0.3) + 0.5 * np.cos(3.0 * t), g)
     theta, gamma = 1.5, 0.5
     prof_u = oscillation_profile(f, (0.0, 0.0), theta, 0.5, 5, base_radius=0.4)
-    sc = build_scaling(ScalingKind.PME_ZOOM, lam=0.5, k=1, theta=theta, gamma=gamma, alpha=1.0)
+    sc = build_scaling(ScalingKind.ZOOM, lam=0.5, k=1, p=2.0, m=1.0 / gamma, gamma=gamma)  # alpha = m gamma = 1
+    assert sc.time_factor == 0.5**theta
     v = apply_scaling(f, sc)
     prof_v = oscillation_profile(v, (0.0, 0.0), theta, 0.5, 4, base_radius=0.4)
     lam_gamma = 0.5**-gamma
@@ -346,9 +347,13 @@ def _constant_field():
      ValueError, "lam must lie"),
     (lambda: time_direction_oscillations(_constant_field(), (0.0, 0.0), 2.0, 0.5, -1),
      ValueError, "k_max"),
+    # the first segment (-0.31, 0.5] starts before the grid's first time
+    (lambda: time_direction_oscillations(sample(lambda x, t: t, GridSpec.one_d(-1, 1, 41, 0, 1, 101)),
+                                         (0.0, 0.5), 2.0, 0.5, 3, base_radius=0.9),
+     CylinderOutsideDomain, "escapes the grid"),
 ], ids=["base_cylinder_without_cells", "negative_k_max", "unknown_series",
         "geometric_lam_1", "geometric_lam_0", "geometric_lam_2", "geometric_negative_k_max",
-        "time_direction_lam_1", "time_direction_negative_k_max"])
+        "time_direction_lam_1", "time_direction_negative_k_max", "time_direction_segment_escapes"])
 def test_lab_rejects_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()

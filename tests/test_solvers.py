@@ -18,6 +18,7 @@ from holderlab.errors import (
 )
 from holderlab.exponents import EquationKind, EquationParams
 from holderlab.fields import ClosedForm, GridSpec, SourceTerm, expression, sample
+from holderlab.geometry import ScalingKind, apply_scaling, build_scaling
 from holderlab.solvers import (
     BarenblattPME,
     Boundary,
@@ -745,3 +746,49 @@ def test_divider_is_division_bitwise(h):
     with np.errstate(over="ignore", under="ignore"):
         divide(got, by, out=got)
         assert got.tobytes() == (x / h).tobytes()
+
+
+# -- the scheme commutes with the rescaling rows -------------------------------
+
+
+def _rescaled_solves(params, sc, boundary, with_source):
+    """(solve from b^A u0 on the preimage grid, ``apply_scaling`` of the solve from u0),
+    on 33 nodes in 1D or 17^2 in 2D; the source, if any, is a sampled field."""
+    n = params.n
+    g = GridSpec(n, ((-1.0, 1.0),) * n, (33,) if n == 1 else (17, 17), (0.0, 0.01), 5)
+    mesh = g.node_mesh()
+    u0 = 1.0 + 0.5 * np.sin(np.pi * mesh[0] + 0.3) * (np.cos(np.pi * mesh[-1] - 0.2) if n == 2 else 1.0)
+    for axis in range(n):  # a periodic profile's last node is its first
+        np.moveaxis(u0, axis, 0)[-1] = np.moveaxis(u0, axis, 0)[0]
+    f = sample(lambda x, t: 2.0 * np.cos(3.0 * x + 0.4) * (1.0 + 50.0 * t), g) if with_source else None
+    cfg = SolverConfig(flux_regularization_eps=0.0, boundary=boundary)
+    want = apply_scaling(solve(params, None if f is None else SourceTerm(f), u0, g, cfg), sc)
+    f_v = None if f is None else SourceTerm(apply_scaling(f, sc, role="source"))
+    return solve(params, f_v, sc.amplitude_factor * u0, want.grid, cfg), want
+
+
+@pytest.mark.parametrize("p, m", [(2.0, 1.0), (3.0, 1.0), (2.0, 2.0), (3.0, 2.0), (2.5, 1.5)])
+@pytest.mark.parametrize("kind, row", [
+    (ScalingKind.NORMALIZE, dict(rho=0.5, a=0.0)),
+    (ScalingKind.NORMALIZE, dict(rho=0.5, a=1.0)),
+    (ScalingKind.ZOOM, dict(lam=0.5, gamma=0.5)),
+    (ScalingKind.ZOOM, dict(lam=0.5, gamma=1.0)),
+], ids=["normalize_a0", "normalize_a1", "zoom_gamma_half", "zoom_gamma_1"])
+def test_scheme_commutes_with_the_rescaling_rows(kind, row, p, m):
+    """v = b^A u(b^B x, b^C t) with C = (m + p - 3) A + p B solves the equation with the
+    source b^(A + C) f(b^B x, b^C t), and the scheme keeps the map: its CFL step on the
+    preimage grid is b^-C times u's.  At b = 1/2 nodes map onto nodes; at integer (p, m)
+    with every factor a power of two the solves agree bitwise, and to rounding otherwise."""
+    sc = build_scaling(kind, p=p, m=m, **row)
+    factors = (sc.space_factor, sc.time_factor, sc.amplitude_factor, sc.source_factor)
+    exact = p.is_integer() and m.is_integer() and all(math.frexp(f)[0] == 0.5 for f in factors)
+    for dim, boundary, with_source in [(1, Boundary.DIRICHLET_ZERO, False), (1, Boundary.PERIODIC, False),
+                                       (2, Boundary.DIRICHLET_ZERO, False), (2, Boundary.PERIODIC, False),
+                                       (1, Boundary.DIRICHLET_ZERO, True)]:
+        params = EquationParams(EquationKind.DOUBLY_NONLINEAR, dim, p=p, m=m)
+        got, want = _rescaled_solves(params, sc, boundary, with_source)
+        assert got.grid == want.grid
+        if exact:
+            assert got.values.tobytes() == want.values.tobytes()
+        else:
+            assert np.abs(got.values - want.values).max() <= 1e-13 * np.abs(want.values).max()

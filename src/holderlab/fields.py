@@ -191,18 +191,6 @@ def _axis_index(ndim: int, axis: int, index) -> tuple:
     return tuple(s)
 
 
-def _node_gradient(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Derivative along ``axis`` at the nodes: central inside, one-sided at both ends."""
-    def at(i):
-        return _axis_index(arr.ndim, axis, i)
-
-    g = np.empty_like(arr)
-    g[at(slice(1, -1))] = (arr[at(slice(2, None))] - arr[at(slice(None, -2))]) / (2.0 * h)
-    g[at(0)] = (arr[at(1)] - arr[at(0)]) / h
-    g[at(-1)] = (arr[at(-1)] - arr[at(-2)]) / h
-    return g
-
-
 def _cell_average(values: np.ndarray) -> np.ndarray:
     """Time-outer node values averaged onto cell centres, one axis after another,
     halved in place: two block-sized arrays at most.  Values with time stride 0
@@ -596,10 +584,11 @@ class SourceTerm:
         read-only array is returned at every t; any other returns a fresh array
         per call.
         """
-        if isinstance(self.form, SpaceTimeField):
-            mesh = grid.node_mesh()
-            return self.form.interp(*mesh, np.full(grid.spatial_shape(), t))
         plan = self._plan
+        if plan is not None and plan.values is not None and plan.grid is grid and plan.form is self.form:
+            return plan.values  # the time-free row, checked first: a solve asks for it every substep
+        if isinstance(self.form, SpaceTimeField):
+            return self.form.interp(*grid.node_mesh(), np.full(grid.spatial_shape(), t))
         if plan is None or plan.form is not self.form or not (plan.grid is grid or plan.grid == grid):
             plan = self._plan = self._node_plan(grid, t)
         return plan.at(t) if plan.values is None else plan.values

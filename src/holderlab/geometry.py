@@ -226,6 +226,8 @@ def _row(kind: ScalingKind, params) -> tuple[float, float, float, float]:
     """(b, B, C, A): the base and the space, time and amplitude exponents of ``kind``."""
     need = ("p", "m", *(("lam", "gamma") if kind is ScalingKind.ZOOM else ("rho", "a")))
     _require(all(key in params for key in need), f"{kind.value} needs {need}, got {sorted(params)}")
+    extra = params.keys() - {*need, *(("k",) if kind is ScalingKind.ZOOM else ())}
+    _require(not extra, f"{kind.value} does not read {sorted(extra)}")
     p, m = params["p"], params["m"]
     _require(p >= 2.0, "p must be >= 2")
     _require(m >= 1.0, "m must be >= 1")

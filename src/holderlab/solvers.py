@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BlowUp, GridTooCoarse, OutsideValidity, UnstableConfig
 from .exponents import EquationParams
-from .fields import GridSpec, SourceTerm, SpaceTimeField, _axis_index, _dist2, _node_gradient, sample
+from .fields import GridSpec, SourceTerm, SpaceTimeField, _axis_index, _dist2, sample
 
 __all__ = [
     "Boundary",
@@ -68,6 +68,10 @@ class SolverConfig:
     max_steps: int = 20_000_000
 
     def __post_init__(self):
+        object.__setattr__(self, "boundary", Boundary(self.boundary))  # a value too, as a scaling kind
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, (int, np.integer)) \
+                or self.max_steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if not self.flux_regularization_eps >= 0.0:
@@ -204,83 +208,121 @@ def _cfl_step(cfg, dx) -> Callable[[float], float]:
 
 
 def _face_diffusivity(params, cfg, u_lo, u_hi, grad2, out=None):
-    """D on faces given the two adjacent node values and |grad u|^2 there, written
-    into ``out`` (a fresh array if None) and returned; a factor that is exactly 1 is
-    not computed, and ``grad2`` is read only for p != 2."""
-    p, m, eps = params.p, params.m, cfg.flux_regularization_eps
-    if out is None:
-        out = np.empty(np.broadcast(u_lo, u_hi).shape)
-    if m == 1.0:  # D is the gradient factor alone
-        if p == 2.0:
-            out.fill(1.0)
-            return out
-        np.add(grad2, eps**2, out=out)
-        out **= (p - 2.0) / 2.0
-        return out
-    np.add(u_lo, u_hi, out=out)  # every operation on the amplitude is in place on ``out``
-    out *= 0.5
-    np.abs(out, out=out)
-    if m != 2.0:  # x ** 1.0 is x exactly; skip the pow pass
-        out **= m - 1.0
-    out *= m
-    if p != 2.0:
-        grad_factor = grad2 + eps**2
-        grad_factor **= (p - 2.0) / 2.0
-        out *= grad_factor
+    """D on faces from the two adjacent node values and |grad u|^2 there (read only for
+    p != 2), by ``_diffusivity_calls``, into ``out`` (fresh if None), which is returned."""
+    out = np.empty(np.broadcast(u_lo, u_hi).shape) if out is None else out
+    grad2 = np.array(grad2, dtype=float)  # a copy: the calls overwrite it with its factor
+    for fn, args in _diffusivity_calls(params, cfg, u_lo, u_hi, grad2, out):
+        fn(*args)
     return out
 
 
+def _diffusivity_calls(params, cfg, u_lo, u_hi, grad2, out) -> list:
+    """The passes ``(fn, args)`` that write D into ``out``, each run as ``fn(*args)`` in
+    order, with every scalar operand a 0-d array; a factor that is exactly 1 is not
+    computed.  For p != 2 they overwrite ``grad2`` with its factor, else do not read it."""
+    p, m = params.p, params.m
+
+    def power(x, e):  # as ``x **= e`` does it, which takes np.sqrt for e = 0.5
+        return (np.sqrt, (x, x)) if e == 0.5 else (np.power, (x, np.array(e), x))
+    if m == 1.0 and p == 2.0:
+        return [(out.fill, (1.0,))]
+    factor = out if m == 1.0 else grad2  # at m = 1, D is the gradient factor alone
+    calls = [] if p == 2.0 else [(np.add, (grad2, np.array(cfg.flux_regularization_eps**2), factor)),
+                                 power(factor, (p - 2.0) / 2.0)]
+    if m != 1.0:  # every operation on the amplitude is in place on ``out``
+        calls += [(np.add, (u_lo, u_hi, out)), (np.multiply, (out, np.array(0.5), out)),
+                  (np.absolute, (out, out))]
+        if m != 2.0:  # x ** 1.0 is x exactly; skip the pow pass
+            calls.append(power(out, m - 1.0))
+        calls.append((np.multiply, (out, np.array(m), out)))
+        if p != 2.0:
+            calls.append((np.multiply, (out, grad2, out)))
+    return calls
+
+
 def _divider(h):
-    """``(ufunc, operand)`` whose ``ufunc(x, operand, out=x)`` divides x by h in place.
+    """``(ufunc, 0-d operand)`` whose ``ufunc(x, operand, x)`` divides x by h in place.
     For h a power of two it multiplies by 1/h: that reciprocal is exact, so x * (1/h)
     and x / h are the same correctly rounded value, and a multiply is the cheaper pass."""
-    return (np.multiply, 1.0 / h) if math.frexp(h)[0] == 0.5 else (np.divide, h)
+    return (np.multiply, np.array(1.0 / h)) if math.frexp(h)[0] == 0.5 else (np.divide, np.array(h))
 
 
 class _Stepper:
     """The conservative flux update on every axis of a 1D or 2D grid.
 
-    ``axes[a]`` is ``(lo, hi, inner, first, last, h)`` for axis a: index
-    tuples of the nodes below and above each face normal to a (applied to a
-    face array, the faces below and above each ``inner`` node), of the nodes
-    between two faces, and of the two edge slabs (one node thick, so that in
-    1D too they index a view), which a PERIODIC boundary identifies; then the
-    spacing h_a.
+    ``axes[a]`` is ``(lo, hi, inner, first, last, h)`` for axis a: index tuples
+    of the nodes below and above each face normal to a (on a face array, the
+    faces below and above each ``inner`` node), of the nodes between two faces,
+    and of the two one-node edge slabs (so that in 1D too they index a view),
+    which a PERIODIC boundary identifies; then the spacing h_a.
 
-    The stepper allocates its work arrays once, and every ``fluxes`` call
-    overwrites them.  ``work[a]`` is ``(grad, flux, flux_lo, flux_hi, grad2,
-    across, diff, wrap)``: grad u and F on the faces normal to a, the views of
-    the faces below and above each inner node, |grad u|^2 on the faces (p != 2
-    only) and, in 2D, the squared other-axis gradient it adds, the difference
-    on the inner nodes, and the wrapped-face flux into the first slab (PERIODIC
-    only); ``source_dt`` holds dt f on the nodes.  ``divide_by_h[a]`` divides by
-    h_a (see ``_divider``).
+    Its work arrays are allocated once and overwritten by every ``fluxes``
+    call.  ``work[a]`` is ``(grad, flux, grad2, across, diff, wrap)``: grad u
+    and F on the faces normal to a, |grad u|^2 there (p != 2 only) and, in 2D,
+    the squared other-axis gradient it adds, the difference on the inner
+    nodes, and the wrapped-face flux into the first slab (PERIODIC only).
+    ``d_max[a]`` is the largest D on those faces, ``node_grads[a]`` grad u along
+    a on the nodes (2D, p != 2), ``source_dt`` dt f, and the 0-d array ``dt`` the step.
+
+    ``_bind`` takes the views of the array the stepper advances and lists the
+    passes of one ``fluxes`` call on them: the scheme's rounding steps, the
+    family's chosen once from (p, m), and the d_max reads.  Only another array
+    binds again.
     """
 
     def __init__(self, params, cfg, grid):
         self.params, self.cfg = params, cfg
         self.step = _cfl_step(cfg, grid.dx)
         self.periodic = cfg.boundary is Boundary.PERIODIC
-        self.needs_grad2 = params.p != 2.0
-        self.tangential = self.needs_grad2 and grid.dim == 2
-        self.axes = [
-            tuple(_axis_index(grid.dim, a, i) for i in
-                  (slice(None, -1), slice(1, None), slice(1, -1), slice(0, 1), slice(-1, None))) + (h,)
-            for a, h in enumerate(grid.dx)
-        ]
-        self.divide_by_h = [_divider(h) for h in grid.dx]
+        cuts = (slice(None, -1), slice(1, None), slice(1, -1), slice(0, 1), slice(-1, None))
+        self.axes = [tuple(_axis_index(grid.dim, a, i) for i in cuts) + (h,) for a, h in enumerate(grid.dx)]
         nodes = self.source_dt = np.empty(grid.spatial_shape())
+        self.dt, self.d_max = np.empty(()), [0.0] * grid.dim
+        tangential = params.p != 2.0 and grid.dim == 2
+        self.node_grads = [np.empty_like(nodes) for _ in grid.dx] if tangential else []
         self.work, self.diffs, wraps = [], [], []
         for lo, hi, inner, first, _, _ in self.axes:
             flux, diff = np.empty_like(nodes[lo]), np.empty_like(nodes[inner])
             wrap = np.empty_like(nodes[first]) if self.periodic else None
-            self.work.append((np.empty_like(flux), flux, flux[lo], flux[hi],
-                              np.empty_like(flux) if self.needs_grad2 else None,
-                              np.empty_like(flux) if self.tangential else None, diff, wrap))
+            self.work.append((np.empty_like(flux), flux, np.empty_like(flux) if params.p != 2.0 else None,
+                              np.empty_like(flux) if tangential else None, diff, wrap))
             self.diffs.append((inner, diff))
             wraps.append((first, wrap))
-        if self.periodic:
-            self.diffs += wraps
+        self.diffs += wraps if self.periodic else []
+        self.u = None
+
+    def _bind(self, u):
+        node_grads, calls, d_max = [], [], self.d_max
+
+        def take_max(a, d):  # argmax stops at the first NaN, so d_max[a] is NaN if any face D is
+            d_max[a] = d.item(d.argmax())
+        for a, ((lo, hi, inner, first, last, h), (grad, flux, grad2, across, diff, wrap)) in enumerate(
+                zip(self.axes, self.work)):
+            (divide, by), u_lo, u_hi = _divider(h), u[lo], u[hi]
+            if self.node_grads:  # grad u along a on the nodes: central inside, one-sided at both ends
+                (central, by_2h), g = _divider(2.0 * h), self.node_grads[a]
+                g_in, g_0, g_1 = g[inner], g[first], g[last]
+                node_grads += [(np.subtract, (u_hi[hi], u_lo[lo], g_in)), (central, (g_in, by_2h, g_in)),
+                               (np.subtract, (u_hi[first], u[first], g_0)), (divide, (g_0, by, g_0)),
+                               (np.subtract, (u[last], u_lo[last], g_1)), (divide, (g_1, by, g_1))]
+            calls += [(np.subtract, (u_hi, u_lo, grad)), (divide, (grad, by, grad))]
+            if grad2 is not None:
+                calls.append((np.multiply, (grad, grad, grad2)))
+            if across is not None:
+                # |grad u|^2 on a face adds the other axis' node gradient, averaged onto it
+                other = self.node_grads[1 - a]
+                calls += [(np.add, (other[hi], other[lo], across)),
+                          (np.multiply, (across, np.array(0.5), across)),
+                          (np.square, (across, across)), (np.add, (grad2, across, grad2))]
+            calls += _diffusivity_calls(self.params, self.cfg, u_lo, u_hi, grad2, flux)
+            calls += [(take_max, (a, flux)), (np.multiply, (flux, grad, flux)),
+                      (np.subtract, (flux[hi], flux[lo], diff)), (divide, (diff, by, diff))]
+            if wrap is not None:
+                calls += [(np.subtract, (flux[first], flux[last], wrap)), (divide, (wrap, by, wrap))]
+        self.u, self.calls = u, node_grads + calls
+        self.nodes = [u[index] for index, _ in self.diffs]
+        self.wraps = [(u[first], u[last]) for _, _, _, first, last, _ in self.axes] if self.periodic else []
 
     def fluxes(self, u):
         """The flux differences of F = D * grad u as ``(index, difference)`` pairs,
@@ -290,65 +332,48 @@ class _Stepper:
         differences are the stepper's own, the same objects at every call, and the next
         call overwrites them.  ``apply`` scales them by dt and advances u, both in place,
         so a multi-stage scheme must copy u and any difference it reuses."""
-        if self.tangential:
-            # |grad u|^2 on a face adds the other axis' node gradient, averaged onto it
-            other = [_node_gradient(u, ax[-1], a) for a, ax in enumerate(self.axes)][::-1]
-        d_max = []
-        for a, ((lo, hi, _, first, last, _), work, (divide, by)) in enumerate(
-                zip(self.axes, self.work, self.divide_by_h)):
-            grad, flux, flux_lo, flux_hi, grad2, across, diff, wrap = work
-            u_lo, u_hi = u[lo], u[hi]
-            np.subtract(u_hi, u_lo, out=grad)
-            divide(grad, by, out=grad)
-            if self.needs_grad2:
-                np.multiply(grad, grad, out=grad2)
-                if self.tangential:
-                    np.add(other[a][hi], other[a][lo], out=across)
-                    across *= 0.5
-                    across **= 2
-                    grad2 += across
-            _face_diffusivity(self.params, self.cfg, u_lo, u_hi, grad2, out=flux)
-            d_max.append(float(np.maximum.reduce(flux, axis=None)))  # NaN if any face D is NaN
-            flux *= grad
-            np.subtract(flux_hi, flux_lo, out=diff)
-            divide(diff, by, out=diff)
-            if self.periodic:
-                np.subtract(flux[first], flux[last], out=wrap)
-                divide(wrap, by, out=wrap)
-        return self.diffs, max(d_max)
+        if u is not self.u:
+            self._bind(u)
+        for fn, args in self.calls:
+            fn(*args)
+        return self.diffs, max(self.d_max)
 
     def apply(self, u, dt, diffs, f_nodes):
         """Advance u in place by one step dt of the scheme, from ``fluxes(u)``, before
         the boundary; the differences in ``diffs``, the stepper's buffers, are left
         scaled by dt until the next ``fluxes`` call overwrites them."""
-        for index, diff in diffs:
-            diff *= dt
-            nodes = u[index]
-            nodes += diff  # through a view: ``u[index] += diff`` copies the sum onto itself
+        if u is not self.u:
+            self._bind(u)
+        step = self.dt
+        step[()] = dt
+        for nodes, (_, diff) in zip(self.nodes, diffs):
+            np.multiply(diff, step, diff)
+            np.add(nodes, diff, nodes)  # through a view: ``u[index] += diff`` copies the sum onto itself
         if f_nodes is not None:
-            u += np.multiply(f_nodes, dt, out=self.source_dt)  # edges are reset by the boundary
-        if self.periodic:
-            for _, _, _, first, last, _ in self.axes:
-                u[last] = u[first]
+            np.add(u, np.multiply(f_nodes, step, self.source_dt), u)  # edges are reset by the boundary
+        for first, last in self.wraps:
+            np.copyto(last, first)
 
 
-def _boundary_setter(cfg, grid, oracle) -> Callable:
-    """(u, t) -> None imposing ``cfg.boundary`` in place, edge by edge over (axis, first/last)."""
+def _boundary_setter(cfg, grid, oracle, u) -> Callable:
+    """t -> None imposing ``cfg.boundary`` on u in place, the zero edges through views taken once."""
     if cfg.boundary is Boundary.PERIODIC:
-        return lambda u, t: None
-    edges = [_axis_index(grid.dim, a, i) for a in range(grid.dim) for i in (0, -1)]
-    if cfg.boundary is Boundary.DIRICHLET_ZERO:
-        def set_zero(u, t):
-            for edge in edges:
-                u[edge] = 0.0
+        return lambda t: None
+    if cfg.boundary is Boundary.DIRICHLET_ZERO:  # each axis' first and last slab as one strided view
+        pairs = [u[_axis_index(grid.dim, a, slice(None, None, n - 1))] for a, n in enumerate(grid.nx)]
+
+        def set_zero(t):
+            for pair in pairs:
+                pair.fill(0.0)
         return set_zero
     if oracle is None:
         raise ValueError("dirichlet_oracle boundary requires a reference solution")
+    edges = [_axis_index(grid.dim, a, i) for a in range(grid.dim) for i in (0, -1)]
     mesh = grid.node_mesh()
     edge_coords = [[np.array(x[edge], dtype=float) for x in mesh] for edge in edges]
     edge_times = [np.empty(xs[0].shape) for xs in edge_coords]
 
-    def set_oracle(u, t):
+    def set_oracle(t):
         for edge, xs, times in zip(edges, edge_coords, edge_times):
             times.fill(t)  # one oracle call per edge, on its time array refilled in place
             u[edge] = oracle.eval(*xs, times)
@@ -397,11 +422,11 @@ def solve(
         raise ValueError(f"init shape {u.shape} != grid spatial shape {grid.spatial_shape()}")
 
     stepper = _Stepper(params, cfg, grid)
-    set_bc = _boundary_setter(cfg, grid, oracle)
+    set_bc = _boundary_setter(cfg, grid, oracle, u)
 
     out = np.empty((grid.nt, *grid.spatial_shape()))
     t = float(grid.t_extent[0])
-    set_bc(u, t)
+    set_bc(t)
     if not np.isfinite(u).all():
         raise BlowUp(0, t)
     out[0] = u
@@ -419,7 +444,7 @@ def solve(
                 f_nodes = source.eval_nodes(grid, t) if source is not None else None
                 stepper.apply(u, dt, diffs, f_nodes)
                 t += dt
-                set_bc(u, t)
+                set_bc(t)
                 steps += 1
                 if steps > cfg.max_steps:
                     raise UnstableConfig(f"exceeded {cfg.max_steps} sub-steps at t={t:.6g}")

@@ -257,6 +257,10 @@ def test_build_scaling_validation():
         (ScalingKind.ZOOM, dict(lam=0.5, p=2.0, m=0.5, gamma=0.5), "m must be >= 1"),
         # C = p - (m + p - 3) gamma = 0 here, and a zoomed cylinder needs theta >= 1
         (ScalingKind.ZOOM, dict(lam=0.5, p=2.0, m=3.0, gamma=1.0), "theta must be >= 1"),
+        # a key the kind does not read, such as the old zoom's theta and alpha, is no silent no-op
+        (ScalingKind.ZOOM, dict(lam=0.5, p=2.0, m=2.0, gamma=0.5, theta=3.0, alpha=0.2),
+         r"zoom does not read \['alpha', 'theta'\]"),
+        (ScalingKind.NORMALIZE, dict(rho=0.5, p=3.0, m=1.0, a=0.0, k=3), r"normalize does not read \['k'\]"),
     ]:
         with pytest.raises(InvalidScaleParameter, match=match):
             build_scaling(kind, **params)

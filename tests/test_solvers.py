@@ -17,7 +17,7 @@ from holderlab.errors import (
     UnstableConfig,
 )
 from holderlab.exponents import EquationKind, EquationParams
-from holderlab.fields import ClosedForm, GridSpec, SourceTerm, expression, sample
+from holderlab.fields import ClosedForm, GridSpec, SourceTerm, expression, rough_power_cap, sample
 from holderlab.geometry import ScalingKind, apply_scaling, build_scaling
 from holderlab.solvers import (
     BarenblattPME,
@@ -502,11 +502,32 @@ def test_two_d_oracle_dirichlet_edges_equal_oracle():
     (lambda: solve(EquationParams.heat(1), None, np.zeros(11), heat_grid(11),
                    SolverConfig(boundary=Boundary.DIRICHLET_FROM_ORACLE)), ValueError, "reference solution"),
     (lambda: BarenblattPME(m=2.0, n=1, mass=1.0).free_boundary_radius(0.0), OutsideValidity, "t > 0"),
+    (lambda: SolverConfig(boundary="dirichlet"), ValueError, "not a valid Boundary"),
+    (lambda: SolverConfig(boundary=None), ValueError, "not a valid Boundary"),
+    (lambda: SolverConfig(max_steps=0), ValueError, "max_steps"),
+    (lambda: SolverConfig(max_steps=-5), ValueError, "max_steps"),
+    (lambda: SolverConfig(max_steps=True), ValueError, "max_steps"),
+    (lambda: SolverConfig(max_steps=2.5), ValueError, "max_steps"),
 ], ids=["cfl_safety_0", "cfl_safety_assigned", "init_shape", "oracle_boundary_without_oracle",
-        "free_boundary_at_t_0"])
+        "free_boundary_at_t_0", "boundary_unknown_value", "boundary_none", "max_steps_0",
+        "max_steps_negative", "max_steps_bool", "max_steps_float"])
 def test_solvers_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("value, member", [("periodic", Boundary.PERIODIC),
+                                           ("dirichlet_zero", Boundary.DIRICHLET_ZERO)])
+def test_a_boundary_given_by_value_solves_as_its_member(value, member):
+    """A boundary named by its value is its member, so an oracle passed along is
+    not taken for a Dirichlet-from-oracle request."""
+    g = heat_grid(17)
+    init = 0.5 + np.sin(np.pi * g.x_nodes())
+    oracle = HeatSeparable(n=1, amplitude=0.3)
+    assert SolverConfig(boundary=value).boundary is member
+    by_value = solve(EquationParams.heat(1), None, init, g, SolverConfig(boundary=value), oracle=oracle)
+    by_member = solve(EquationParams.heat(1), None, init, g, SolverConfig(boundary=member), oracle=oracle)
+    assert by_value.values.tobytes() == by_member.values.tobytes()
 
 
 def _literal_scheme(params, source, init, grid, cfg, oracle):
@@ -587,6 +608,29 @@ def test_stepper_equals_the_literal_scheme_bitwise(pm, dim, boundary, eps, with_
     got = solve(params, source, init, g, cfg, oracle=oracle)
     assert np.array_equal(got.values, _literal_scheme(params, source, init, g, cfg, oracle))
 
+
+@pytest.mark.parametrize("case", ["1d_source_centre_right", "1d_source_centre_left", "2d_oracle"])
+def test_stepper_equals_the_literal_scheme_on_the_benchmark_configurations(case):
+    """The benchmark's two solver configurations at its short sizes: PME m = 2 in 1D
+    with a capped time-free rough source, its centre 0.3 dx right or left of a node,
+    and Dirichlet zero edges; and in 2D with a Barenblatt oracle boundary.  Both
+    spacings (0.02 and 0.1) take ``_divider``'s division branch, which the property
+    test's power-of-two 1D spacing does not."""
+    if case == "2d_oracle":
+        g = GridSpec.two_d((-2.0, 2.0), (-2.0, 2.0), 41, 41, 1.0, 2.5, 61)
+        oracle = BarenblattPME(2.0, 2, 0.5)
+        source, init = None, oracle.eval(*g.node_mesh(), 1.0)
+        cfg = SolverConfig(boundary=Boundary.DIRICHLET_FROM_ORACLE)
+    else:
+        g = GridSpec.one_d(-1.0, 1.0, 101, 0.0, 0.07, 41)
+        dx = g.dx[0]
+        centre = (0.3 if case == "1d_source_centre_right" else -0.3) * dx
+        form = ClosedForm("rough_power", {"sigma": 0.4, "cap": rough_power_cap(0.4, dx), "center": centre})
+        source, oracle, cfg = SourceTerm(form, q=2.0, r=math.inf), None, SolverConfig()
+        init = BarenblattPME(2.0, 1, 1.0).eval(g.x_nodes(), 1.0)
+    params = EquationParams.pme(2.0, g.dim)
+    got = solve(params, source, init, g, cfg, oracle=oracle)
+    assert got.values.tobytes() == _literal_scheme(params, source, init, g, cfg, oracle).tobytes()
 
 
 # -- the stepper's work arrays and the oracle's closed form -------------------

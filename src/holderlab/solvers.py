@@ -9,11 +9,11 @@ with one diffusivity for every family,
 D = m |u_face|^(m-1) (|grad u|^2 + eps^2)^((p-2)/2), less a factor that is
 exactly 1 (at m = 1 or p = 2): heat has D = 1, and the porous medium has no
 cutoff (its flux vanishes on its own at u = 0).  On a face, |grad u|^2 is the
-squared normal difference plus, in 2D, the squared central difference along
-the other axis averaged onto the face.  One stepper, ``_Stepper``, runs this
-update in every dimension by looping over the axes; ``residual`` reuses its
-flux differences.  A PERIODIC boundary adds the flux through the wrapped face
-to the first node slab of each axis and copies that slab to the last.
+squared normal difference plus the squared central difference along every
+other axis, averaged onto the face.  One stepper, ``_Stepper``, runs this update
+in every dimension on the raveled node array, where every axis' faces are two
+contiguous slices; ``residual`` reuses its flux differences.  A PERIODIC boundary
+adds the wrapped-face flux to each axis' first node slab and copies it to the last.
 Sub-stepping keeps each internal step below the CFL bound
 cfl_safety / (2 D_max sum_a h_a^-2); stored time levels are hit exactly.
 """
@@ -72,9 +72,9 @@ class SolverConfig:
         if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, (int, np.integer)) \
                 or self.max_steps < 1:
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if not 0.0 < self.cfl_safety <= 1.0:
+        if isinstance(self.cfl_safety, (bool, np.bool_)) or not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must lie in (0, 1]")
-        if not self.flux_regularization_eps >= 0.0:
+        if isinstance(eps := self.flux_regularization_eps, (bool, np.bool_)) or not eps >= 0.0:
             raise ValueError("flux_regularization_eps must be >= 0")
 
 
@@ -136,7 +136,7 @@ class BarenblattPME:
     def eval(self, *coords):
         *xs, t = coords
         t = np.asarray(t, dtype=float)
-        if not (t > 0).all():  # NaN fails too
+        if t.size and not t.item(t.argmin()) > 0:  # argmin stops at the first NaN, so NaN fails too
             raise OutsideValidity("Barenblatt profile requires t > 0")
         # in place only on fresh arrays of the full broadcast shape, so a scalar t or a
         # time column still broadcasts against the points
@@ -249,88 +249,90 @@ def _divider(h):
 
 
 class _Stepper:
-    """The conservative flux update on every axis of a 1D or 2D grid.
+    """The conservative flux update on every axis, run on the raveled nodes
+    ``uf = u.reshape(-1)`` so that every face pass is contiguous.  Axis a has
+    stride s_a = prod(n[a+1:]): face k joins nodes k and k + s_a, its faces are
+    ``uf[:N-s_a]`` and ``uf[s_a:]`` for N nodes, its inner nodes ``uf[s_a:N-s_a]``.
+    On an axis a > 0 the faces at index n_a - 1 along a join two rows: these wrap
+    faces get D = 0 before d_max is read, and the inner differences they feed land
+    only on a's edge slabs, which a Dirichlet boundary overwrites and a PERIODIC
+    one sets to -0.0.
 
-    ``axes[a]`` is ``(lo, hi, inner, first, last, h)`` for axis a: index tuples
-    of the nodes below and above each face normal to a (on a face array, the
-    faces below and above each ``inner`` node), of the nodes between two faces,
-    and of the two one-node edge slabs (so that in 1D too they index a view),
-    which a PERIODIC boundary identifies; then the spacing h_a.
-
-    Its work arrays are allocated once and overwritten by every ``fluxes``
-    call.  ``work[a]`` is ``(grad, flux, grad2, across, diff, wrap)``: grad u
-    and F on the faces normal to a, |grad u|^2 there (p != 2 only) and, in 2D,
-    the squared other-axis gradient it adds, the difference on the inner
-    nodes, and the wrapped-face flux into the first slab (PERIODIC only).
-    ``d_max[a]`` is the largest D on those faces, ``node_grads[a]`` grad u along
-    a on the nodes (2D, p != 2), ``source_dt`` dt f, and the 0-d array ``dt`` the step.
-
-    ``_bind`` takes the views of the array the stepper advances and lists the
-    passes of one ``fluxes`` call on them: the scheme's rounding steps, the
-    family's chosen once from (p, m), and the d_max reads.  Only another array
-    binds again.
+    ``axes[a]`` is ``(s_a, h_a, first, penult, last, pair)``, index tuples of a's
+    first, second-to-last and last one-node slab and of its last two.  ``work[a]``
+    is ``(grad, flux, grad2, across, diff, wrap)``: grad u and F on a's faces,
+    node-shaped at their lo node (``grad[first]`` and ``grad[penult]`` are the
+    one-sided node gradients, ``flux[last]`` the wrap faces); |grad u|^2 (p != 2)
+    and each other axis' squared gradient it adds (2D); the inner differences at
+    their node less s_a (``diff[pair]`` is a's edge slabs); the wrapped-face flux
+    into the first slab (PERIODIC).  ``node_grads[a]`` is grad u along a on the flat
+    nodes (2D, p != 2), ``d_max[a]`` the largest D on a's faces, ``source_dt`` dt f,
+    ``dt`` the 0-d step.  ``_bind`` lists, once per array advanced, the passes of
+    one ``fluxes`` call on its views: the scheme's rounding steps, the family's
+    chosen once from (p, m), and the d_max reads; they overwrite the work arrays.
     """
 
     def __init__(self, params, cfg, grid):
         self.params, self.cfg = params, cfg
         self.step = _cfl_step(cfg, grid.dx)
         self.periodic = cfg.boundary is Boundary.PERIODIC
-        cuts = (slice(None, -1), slice(1, None), slice(1, -1), slice(0, 1), slice(-1, None))
-        self.axes = [tuple(_axis_index(grid.dim, a, i) for i in cuts) + (h,) for a, h in enumerate(grid.dx)]
         nodes = self.source_dt = np.empty(grid.spatial_shape())
-        self.dt, self.d_max = np.empty(()), [0.0] * grid.dim
-        tangential = params.p != 2.0 and grid.dim == 2
-        self.node_grads = [np.empty_like(nodes) for _ in grid.dx] if tangential else []
-        self.work, self.diffs, wraps = [], [], []
-        for lo, hi, inner, first, _, _ in self.axes:
-            flux, diff = np.empty_like(nodes[lo]), np.empty_like(nodes[inner])
+        cuts = (slice(0, 1), slice(-2, -1), slice(-1, None), slice(-2, None))
+        self.axes = [(math.prod(grid.nx[a + 1:]), h, *(_axis_index(grid.dim, a, i) for i in cuts))
+                     for a, h in enumerate(grid.dx)]
+        self.dt, self.d_max, n = np.empty(()), [0.0] * grid.dim, nodes.size
+        self.node_grads = [np.empty(n) for _ in grid.dx] if params.p != 2.0 and grid.dim > 1 else []
+        self.work, self.diffs = [], []
+        for s, _, first, *_ in self.axes:
+            flux, diff = np.empty_like(nodes), np.empty_like(nodes)
             wrap = np.empty_like(nodes[first]) if self.periodic else None
-            self.work.append((np.empty_like(flux), flux, np.empty_like(flux) if params.p != 2.0 else None,
-                              np.empty_like(flux) if tangential else None, diff, wrap))
-            self.diffs.append((inner, diff))
-            wraps.append((first, wrap))
-        self.diffs += wraps if self.periodic else []
+            self.work.append((np.empty_like(nodes), flux, np.empty(n - s) if params.p != 2.0 else None,
+                              np.empty(n - s) if self.node_grads else None, diff, wrap))
+            self.diffs.append((slice(s, n - s), diff.reshape(-1)[:n - 2 * s]))
+        if self.periodic:  # then each axis' wrapped-face flux into its first slab
+            self.diffs += [(axis[2], work[-1]) for axis, work in zip(self.axes, self.work)]
         self.u = None
 
     def _bind(self, u):
-        node_grads, calls, d_max = [], [], self.d_max
+        uf = u.reshape(-1, copy=False)  # a view or an error: the passes write u through it
+        n, grads, calls, d_max = uf.size, [], [], self.d_max
 
         def take_max(a, d):  # argmax stops at the first NaN, so d_max[a] is NaN if any face D is
             d_max[a] = d.item(d.argmax())
-        for a, ((lo, hi, inner, first, last, h), (grad, flux, grad2, across, diff, wrap)) in enumerate(
-                zip(self.axes, self.work)):
-            (divide, by), u_lo, u_hi = _divider(h), u[lo], u[hi]
+        for a, ((s, h, first, penult, last, pair), (grad, flux, grad2, across, diff, wrap), (_, diff_f)) in \
+                enumerate(zip(self.axes, self.work, self.diffs)):
+            (divide, by), u_lo, u_hi = _divider(h), uf[:n - s], uf[s:]
+            grad_f, flux_f = grad.reshape(-1)[:n - s], flux.reshape(-1)[:n - s]
+            grads += [(np.subtract, (u_hi, u_lo, grad_f)), (divide, (grad_f, by, grad_f))]
             if self.node_grads:  # grad u along a on the nodes: central inside, one-sided at both ends
                 (central, by_2h), g = _divider(2.0 * h), self.node_grads[a]
-                g_in, g_0, g_1 = g[inner], g[first], g[last]
-                node_grads += [(np.subtract, (u_hi[hi], u_lo[lo], g_in)), (central, (g_in, by_2h, g_in)),
-                               (np.subtract, (u_hi[first], u[first], g_0)), (divide, (g_0, by, g_0)),
-                               (np.subtract, (u[last], u_lo[last], g_1)), (divide, (g_1, by, g_1))]
-            calls += [(np.subtract, (u_hi, u_lo, grad)), (divide, (grad, by, grad))]
-            if grad2 is not None:
-                calls.append((np.multiply, (grad, grad, grad2)))
-            if across is not None:
-                # |grad u|^2 on a face adds the other axis' node gradient, averaged onto it
-                other = self.node_grads[1 - a]
-                calls += [(np.add, (other[hi], other[lo], across)),
+                g_in, g = g[s:n - s], g.reshape(u.shape)
+                grads += [(np.subtract, (uf[2 * s:], uf[:n - 2 * s], g_in)), (central, (g_in, by_2h, g_in)),
+                          (np.copyto, (g[first], grad[first])), (np.copyto, (g[last], grad[penult]))]
+            calls += [(np.multiply, (grad_f, grad_f, grad2))] if grad2 is not None else []
+            for other in self.node_grads[:a] + self.node_grads[a + 1:]:  # each other axis' node gradient
+                calls += [(np.add, (other[s:], other[:n - s], across)),
                           (np.multiply, (across, np.array(0.5), across)),
                           (np.square, (across, across)), (np.add, (grad2, across, grad2))]
-            calls += _diffusivity_calls(self.params, self.cfg, u_lo, u_hi, grad2, flux)
-            calls += [(take_max, (a, flux)), (np.multiply, (flux, grad, flux)),
-                      (np.subtract, (flux[hi], flux[lo], diff)), (divide, (diff, by, diff))]
-            if wrap is not None:
-                calls += [(np.subtract, (flux[first], flux[last], wrap)), (divide, (wrap, by, wrap))]
-        self.u, self.calls = u, node_grads + calls
-        self.nodes = [u[index] for index, _ in self.diffs]
-        self.wraps = [(u[first], u[last]) for _, _, _, first, last, _ in self.axes] if self.periodic else []
+            calls += _diffusivity_calls(self.params, self.cfg, u_lo, u_hi, grad2, flux_f)
+            calls += [(flux[last].fill, (0.0,))] if a else []  # the wrap faces, before d_max is read
+            calls += [(take_max, (a, flux_f)), (np.multiply, (flux_f, grad_f, flux_f)),
+                      (np.subtract, (flux_f[s:], flux_f[:n - 2 * s], diff_f)), (divide, (diff_f, by, diff_f))]
+            if wrap is not None:  # x + -0.0 is x for every x, and -0.0 * dt is -0.0
+                calls += [(np.subtract, (flux[first], flux[penult], wrap)), (divide, (wrap, by, wrap))] + \
+                    ([(diff[pair].fill, (-0.0,))] if a else [])
+        self.u, self.calls = u, grads + calls  # the tangential term reads every axis' gradients
+        self.nodes = [(uf if isinstance(index, slice) else u)[index] for index, _ in self.diffs]
+        self.wraps = [(u[first], u[last]) for _, _, first, _, last, _ in self.axes] if self.periodic else []
 
     def fluxes(self, u):
         """The flux differences of F = D * grad u as ``(index, difference)`` pairs,
-        and the largest face D: each axis' ``(inner, (F_hi - F_lo) / h)`` on the nodes
-        between two faces, then, on a PERIODIC boundary, each axis' wrapped-face flux
-        into its first slab, ``(first, (F[first] - F[last]) / h)``.  The list and the
-        differences are the stepper's own, the same objects at every call, and the next
-        call overwrites them.  ``apply`` scales them by dt and advances u, both in place,
+        and the largest face D: each axis' ``(inner, (F_hi - F_lo) / h)``, ``inner``
+        the flat slice ``s_a:N-s_a``, then, on a PERIODIC boundary, each axis'
+        wrapped-face flux into its first slab, ``(first, (F[first] - F[last]) / h)``,
+        ``first`` an index tuple of the node array.  The list and the differences are
+        the stepper's own, the same objects at every call, and the next call
+        overwrites them.  ``apply`` scales them by dt and advances u, both in place,
         so a multi-stage scheme must copy u and any difference it reuses."""
         if u is not self.u:
             self._bind(u)
@@ -414,10 +416,8 @@ def solve(
         Sub-stepping exceeded ``cfg.max_steps``.
     """
     cfg = cfg or SolverConfig()
-    if callable(init):
-        u = np.asarray(init(*grid.node_mesh()), dtype=float).copy()
-    else:
-        u = np.array(init, dtype=float)  # a copy: the steps update u in place
+    # a C-ordered copy: the steps update u in place, through its flat view
+    u = np.array(init(*grid.node_mesh()) if callable(init) else init, dtype=float, order="C")
     if u.shape != grid.spatial_shape():
         raise ValueError(f"init shape {u.shape} != grid spatial shape {grid.spatial_shape()}")
 
@@ -479,13 +479,13 @@ def residual(field: SpaceTimeField, params: EquationParams,
     core = (slice(1, -1),) * g.dim
     worst = 0.0
     for k in range(1, g.nt - 1):
-        u = field.values[k]
+        u = np.ascontiguousarray(field.values[k])  # the stepper reads u through its flat view
         u_t = (field.values[k + 1] - field.values[k - 1]) / (2.0 * g.dt)
         diffs, _ = stepper.fluxes(u)
-        div = np.zeros_like(u)
-        for index, diff in diffs:  # the wrapped-face terms land on edge slabs, outside core
+        div = np.zeros(u.size)
+        for index, diff in diffs[:g.dim]:  # flat inner slices; the wrapped-face terms land outside core
             div[index] += diff
-        defect = u_t[core] - div[core]
+        defect = u_t[core] - div.reshape(u.shape)[core]
         if source is not None:
             defect = defect - source.eval_nodes(g, g.t_nodes[k])[core]
         worst = max(worst, float(np.abs(defect).max()))

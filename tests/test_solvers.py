@@ -508,9 +508,12 @@ def test_two_d_oracle_dirichlet_edges_equal_oracle():
     (lambda: SolverConfig(max_steps=-5), ValueError, "max_steps"),
     (lambda: SolverConfig(max_steps=True), ValueError, "max_steps"),
     (lambda: SolverConfig(max_steps=2.5), ValueError, "max_steps"),
+    (lambda: SolverConfig(cfl_safety=True), ValueError, "cfl_safety"),
+    (lambda: SolverConfig(flux_regularization_eps=True), ValueError, "flux_regularization_eps"),
 ], ids=["cfl_safety_0", "cfl_safety_assigned", "init_shape", "oracle_boundary_without_oracle",
         "free_boundary_at_t_0", "boundary_unknown_value", "boundary_none", "max_steps_0",
-        "max_steps_negative", "max_steps_bool", "max_steps_float"])
+        "max_steps_negative", "max_steps_bool", "max_steps_float", "cfl_safety_bool",
+        "flux_regularization_eps_bool"])
 def test_solvers_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -638,11 +641,22 @@ def test_stepper_equals_the_literal_scheme_on_the_benchmark_configurations(case)
 
 def test_barenblatt_rejects_a_nan_time():
     ref = BarenblattPME(m=2.0, n=1, mass=1.0)
-    for t in (math.nan, np.array([1.0, math.nan])):
+    for t in (math.nan, np.array([1.0, math.nan]), np.array([1.0, math.nan, 2.0])):
         with pytest.raises(OutsideValidity, match="t > 0"):
-            ref.eval(np.zeros(2), t)
+            ref.eval(np.zeros(np.shape(t)), t)
     with pytest.raises(OutsideValidity, match="t > 0"):
         ref.free_boundary_radius(math.nan)
+
+
+def test_barenblatt_rejects_any_time_not_positive_and_takes_an_empty_edge():
+    """A time t <= 0 anywhere in the array is rejected, and an empty edge evaluates
+    to an empty array."""
+    ref = BarenblattPME(m=2.0, n=2, mass=1.0)
+    for t in ([1.0, 0.0, 2.0], [1.0, 2.0, -1.0], [[1.0, 1.0], [-0.5, 1.0]]):
+        with pytest.raises(OutsideValidity, match="t > 0"):
+            ref.eval(np.zeros(np.shape(t)), np.zeros(np.shape(t)), np.array(t))
+    got = ref.eval(np.zeros(0), np.zeros(0), np.zeros(0))
+    assert got.shape == (0,)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -669,6 +683,96 @@ def test_stepper_fluxes_reuse_its_arrays_with_a_fresh_steppers_bits(dim, boundar
     for (index, diff), (fresh_index, fresh_diff) in zip(second, fresh):
         assert index == fresh_index
         assert diff.tobytes() == fresh_diff.tobytes()
+
+
+_FAMILIES_2D = [EquationParams.pme(2.0, 2), EquationParams.p_parabolic(3.0, 2),
+                EquationParams.doubly_nonlinear(3.0, 2.0, 2)]
+
+
+@pytest.mark.parametrize("boundary", [Boundary.DIRICHLET_ZERO, Boundary.PERIODIC])
+@pytest.mark.parametrize("params", _FAMILIES_2D, ids=lambda p: p.kind.value)
+def test_the_flat_stepper_never_sees_a_wrap_face(params, boundary):
+    """In the raveled node array the face after a row's last node joins it to the
+    next row's first.  With the only large jump across those wrap faces, d_max is
+    the largest D over the real faces, taken here with tuple slices."""
+    from holderlab.solvers import _face_diffusivity, _Stepper
+
+    g = GridSpec(2, ((0.0, 0.8), (0.0, 1.0)), (9, 11), (0.0, 0.1), 2)
+    cfg = SolverConfig(boundary=boundary)
+    rows, cols = np.indices(g.spatial_shape())
+    if params.kind is EquationKind.PME:  # large values only at the two ends of each wrap face
+        u = np.where(((cols == 10) & (rows % 2 == 0)) | ((cols == 0) & (rows % 2 == 1)), 1.0, 0.0)
+    else:  # a jump of 10 across each wrap face, of 1 across each real face
+        u = cols.astype(float)
+    node_grads = [np.gradient(u, h, axis=a) for a, h in enumerate(g.dx)]
+    want = 0.0
+    for a, h in enumerate(g.dx):
+        lo, hi = [tuple(i if b == a else slice(None) for b in range(2))
+                  for i in (slice(None, -1), slice(1, None))]
+        grad = (u[hi] - u[lo]) / h
+        across = 0.5 * (node_grads[1 - a][hi] + node_grads[1 - a][lo])
+        want = max(want, _face_diffusivity(params, cfg, u[lo], u[hi], grad * grad + across**2).max())
+    h = g.dx[1]
+    wrap_d = _face_diffusivity(params, cfg, u[:-1, -1], u[1:, 0], ((u[1:, 0] - u[:-1, -1]) / h) ** 2)
+    assert wrap_d.max() > want  # so the check below could fail
+    _, d_max = _Stepper(params, cfg, g).fluxes(u)
+    assert d_max == want
+
+
+@pytest.mark.parametrize("params", _FAMILIES_2D, ids=lambda p: p.kind.value)
+def test_a_periodic_step_adds_only_the_wrapped_face_flux_to_the_first_slab(params):
+    """u, a function of the column alone, has no flux along the first axis, so one
+    PERIODIC step changes the first column by dt times the wrapped-face flux alone:
+    the inner differences the wrap faces of the raveled array feed add nothing there."""
+    from holderlab.solvers import _Stepper
+
+    g = GridSpec(2, ((0.0, 0.8), (0.0, 1.0)), (9, 11), (0.0, 0.1), 2)
+    stepper = _Stepper(params, SolverConfig(boundary=Boundary.PERIODIC), g)
+    u = 1.0 + 0.1 * np.indices(g.spatial_shape())[1] ** 2.0
+    before = u.copy()
+    diffs, _ = stepper.fluxes(u)
+    first, wrap = diffs[-1]  # the last axis' wrapped-face flux, scaled by dt in place below
+    assert first == (slice(None), slice(0, 1))
+    stepper.apply(u, 1e-4, diffs, None)
+    assert np.abs(wrap).min() > 0.0
+    assert u[:, :1].tobytes() == (before[:, :1] + wrap).tobytes()
+
+
+@pytest.mark.parametrize("boundary", [Boundary.DIRICHLET_ZERO, Boundary.PERIODIC])
+@pytest.mark.parametrize("params", _FAMILIES_2D, ids=lambda p: p.kind.value)
+def test_a_two_d_stepper_binds_contiguous_passes(params, boundary):
+    """Every array a 2D stepper's passes and node updates read or write is
+    C-contiguous, but for one- and two-node slabs at the ends of the last axis: the
+    one-sided node gradients, the wrapped-face flux and the wrap faces' and edge
+    slots' fills.  A strided face pass such as u[:, :-1] fails here."""
+    from holderlab.solvers import _Stepper
+
+    g = GridSpec(2, ((0.0, 0.8), (0.0, 1.0)), (9, 11), (0.0, 0.1), 2)
+    stepper = _Stepper(params, SolverConfig(boundary=boundary), g)
+    stepper.fluxes(np.ones(g.spatial_shape()))
+    operands = [x for fn, args in stepper.calls for x in (getattr(fn, "__self__", None), *args)
+                if isinstance(x, np.ndarray) and x.ndim > 0] + stepper.nodes
+    strided = [x.shape for x in operands if not x.flags.c_contiguous]
+    assert sum(x.ndim == 1 for x in operands) > len(strided)
+    assert set(strided) <= {(9, 1), (9, 2)}
+    if boundary is Boundary.DIRICHLET_ZERO and params.p == 2.0:
+        assert strided == [(9, 1)]  # the wrap faces' fill
+
+
+@pytest.mark.parametrize("boundary", [Boundary.DIRICHLET_FROM_ORACLE, Boundary.PERIODIC])
+def test_fortran_ordered_input_solves_and_checks_as_c_ordered(boundary):
+    """The stepper works on the raveled node array; an F-ordered init or field is
+    taken in C order first, so it solves and checks bitwise as its C-ordered copy."""
+    g = GridSpec(2, ((-2.0, 2.0),) * 2, (21, 17), (1.0, 1.2), 4)
+    oracle = BarenblattPME(2.0, 2, 0.5)
+    init = oracle.eval(*g.node_mesh(), 1.0)
+    params, cfg = EquationParams.pme(2.0, 2), SolverConfig(boundary=boundary)
+    want = solve(params, None, init, g, cfg, oracle=oracle)
+    got = solve(params, None, np.asfortranarray(init), g, cfg, oracle=oracle)
+    assert got.values.tobytes() == want.values.tobytes()
+    field = dataclasses.replace(want, values=np.asfortranarray(want.values))
+    assert not field.values[1].flags.c_contiguous
+    assert residual(field, params, cfg=cfg) == residual(want, params, cfg=cfg)
 
 
 @pytest.mark.parametrize("params", [

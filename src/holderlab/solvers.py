@@ -8,12 +8,14 @@ The scheme is the flux form, one term per axis a with spacing h_a,
 with one diffusivity for every family,
 D = m |u_face|^(m-1) (|grad u|^2 + eps^2)^((p-2)/2), less a factor that is
 exactly 1 (at m = 1 or p = 2): heat has D = 1, and the porous medium has no
-cutoff (its flux vanishes on its own at u = 0).  On a face, |grad u|^2 is the
-squared normal difference plus the squared central difference along every
-other axis, averaged onto the face.  One stepper, ``_Stepper``, runs this update
-in every dimension on the raveled node array, where every axis' faces are two
-contiguous slices; ``residual`` reuses its flux differences.  A PERIODIC boundary
-adds the wrapped-face flux to each axis' first node slab and copies it to the last.
+cutoff (its flux vanishes on its own at u = 0).  At m = 2, with u_face the mean of
+the two nodes, m |u_face| is |u_lo + u_hi|: no halving, so exact also where u_face
+is subnormal.  On a face, |grad u|^2 is the squared normal difference plus the
+squared central difference along every other axis, averaged onto the face.  One
+stepper, ``_Stepper``, runs this update in every dimension on the raveled node
+array, where every axis' faces are two contiguous slices; ``residual`` reuses its
+flux differences.  A PERIODIC boundary adds the wrapped-face flux to each axis'
+first node slab and copies it to the last.
 Sub-stepping keeps each internal step below the CFL bound
 cfl_safety / (2 D_max sum_a h_a^-2); stored time levels are hit exactly.
 """
@@ -220,7 +222,9 @@ def _face_diffusivity(params, cfg, u_lo, u_hi, grad2, out=None):
 def _diffusivity_calls(params, cfg, u_lo, u_hi, grad2, out) -> list:
     """The passes ``(fn, args)`` that write D into ``out``, each run as ``fn(*args)`` in
     order, with every scalar operand a 0-d array; a factor that is exactly 1 is not
-    computed.  For p != 2 they overwrite ``grad2`` with its factor, else do not read it."""
+    computed.  For p != 2 they overwrite ``grad2`` with its factor, else do not read it.
+    At m = 2, m |(u_lo + u_hi) / 2| is |u_lo + u_hi|: the same number wherever the half
+    sum is normal, and the exact one below 2^-1021, where the halving would round."""
     p, m = params.p, params.m
 
     def power(x, e):  # as ``x **= e`` does it, which takes np.sqrt for e = 0.5
@@ -230,12 +234,11 @@ def _diffusivity_calls(params, cfg, u_lo, u_hi, grad2, out) -> list:
     factor = out if m == 1.0 else grad2  # at m = 1, D is the gradient factor alone
     calls = [] if p == 2.0 else [(np.add, (grad2, np.array(cfg.flux_regularization_eps**2), factor)),
                                  power(factor, (p - 2.0) / 2.0)]
-    if m != 1.0:  # every operation on the amplitude is in place on ``out``
-        calls += [(np.add, (u_lo, u_hi, out)), (np.multiply, (out, np.array(0.5), out)),
-                  (np.absolute, (out, out))]
-        if m != 2.0:  # x ** 1.0 is x exactly; skip the pow pass
-            calls.append(power(out, m - 1.0))
-        calls.append((np.multiply, (out, np.array(m), out)))
+    if m != 1.0:  # every operation on the amplitude is in place on ``out``; |x / 2| = |x| / 2
+        calls += [(np.add, (u_lo, u_hi, out)), (np.absolute, (out, out))]
+        if m != 2.0:  # at m = 2, D is |u_lo + u_hi| itself
+            calls += [(np.multiply, (out, np.array(0.5), out)), power(out, m - 1.0),
+                      (np.multiply, (out, np.array(m), out))]
         if p != 2.0:
             calls.append((np.multiply, (out, grad2, out)))
     return calls
@@ -254,22 +257,25 @@ class _Stepper:
     stride s_a = prod(n[a+1:]): face k joins nodes k and k + s_a, its faces are
     ``uf[:N-s_a]`` and ``uf[s_a:]`` for N nodes, its inner nodes ``uf[s_a:N-s_a]``.
     On an axis a > 0 the faces at index n_a - 1 along a join two rows: these wrap
-    faces get D = 0 before d_max is read, and the inner differences they feed land
-    only on a's edge slabs, which a Dirichlet boundary overwrites and a PERIODIC
-    one sets to -0.0.
+    faces get D = 0 before F and d_max are taken, and the inner differences they
+    feed land only on a's edge slabs, which a Dirichlet boundary overwrites and a
+    PERIODIC one sets to -0.0.
 
     ``axes[a]`` is ``(s_a, h_a, first, penult, last, pair)``, index tuples of a's
     first, second-to-last and last one-node slab and of its last two.  ``work[a]``
-    is ``(grad, flux, grad2, across, diff, wrap)``: grad u and F on a's faces,
-    node-shaped at their lo node (``grad[first]`` and ``grad[penult]`` are the
-    one-sided node gradients, ``flux[last]`` the wrap faces); |grad u|^2 (p != 2)
-    and each other axis' squared gradient it adds (2D); the inner differences at
-    their node less s_a (``diff[pair]`` is a's edge slabs); the wrapped-face flux
-    into the first slab (PERIODIC).  ``node_grads[a]`` is grad u along a on the flat
-    nodes (2D, p != 2), ``d_max[a]`` the largest D on a's faces, ``source_dt`` dt f,
-    ``dt`` the 0-d step.  ``_bind`` lists, once per array advanced, the passes of
-    one ``fluxes`` call on its views: the scheme's rounding steps, the family's
-    chosen once from (p, m), and the d_max reads; they overwrite the work arrays.
+    is ``(grad, flux, grad2, across, diff, wrap)``: grad u on a's faces, then F there,
+    and D there, kept for the d_max read, both node-shaped at their lo node
+    (``grad[first]`` and ``grad[penult]`` give the one-sided node gradients,
+    ``flux[last]`` is the wrap faces); |grad u|^2 (p != 2) and each other axis'
+    squared gradient it adds (2D); the inner differences at their node less s_a
+    (``diff[pair]`` is a's edge slabs); the wrapped-face flux into the first slab
+    (PERIODIC).  Each ``flux`` is a row of ``faces_d``, 0 past the N - s_a faces.
+    ``node_grads[a]`` is grad u along a on the flat nodes (2D, p != 2), ``source_dt``
+    dt f, ``dt`` the 0-d step.  ``_bind`` lists, once per array advanced, the passes
+    on its views of one ``fluxes`` call, the scheme's rounding steps with the
+    family's chosen once from (p, m), and of one ``apply`` call: ``updates``, each
+    difference scaled by dt and added to its nodes, and ``edges``, the PERIODIC
+    last-slab copy or the Dirichlet-zero edge fill.  They overwrite the work arrays.
     """
 
     def __init__(self, params, cfg, grid):
@@ -280,11 +286,11 @@ class _Stepper:
         cuts = (slice(0, 1), slice(-2, -1), slice(-1, None), slice(-2, None))
         self.axes = [(math.prod(grid.nx[a + 1:]), h, *(_axis_index(grid.dim, a, i) for i in cuts))
                      for a, h in enumerate(grid.dx)]
-        self.dt, self.d_max, n = np.empty(()), [0.0] * grid.dim, nodes.size
+        self.dt, self.faces_d, n = np.empty(()), np.zeros((grid.dim, nodes.size)), nodes.size
         self.node_grads = [np.empty(n) for _ in grid.dx] if params.p != 2.0 and grid.dim > 1 else []
         self.work, self.diffs = [], []
-        for s, _, first, *_ in self.axes:
-            flux, diff = np.empty_like(nodes), np.empty_like(nodes)
+        for (s, _, first, *_), flux in zip(self.axes, self.faces_d):
+            flux, diff = flux.reshape(nodes.shape), np.empty_like(nodes)
             wrap = np.empty_like(nodes[first]) if self.periodic else None
             self.work.append((np.empty_like(nodes), flux, np.empty(n - s) if params.p != 2.0 else None,
                               np.empty(n - s) if self.node_grads else None, diff, wrap))
@@ -295,10 +301,7 @@ class _Stepper:
 
     def _bind(self, u):
         uf = u.reshape(-1, copy=False)  # a view or an error: the passes write u through it
-        n, grads, calls, d_max = uf.size, [], [], self.d_max
-
-        def take_max(a, d):  # argmax stops at the first NaN, so d_max[a] is NaN if any face D is
-            d_max[a] = d.item(d.argmax())
+        n, grads, calls = uf.size, [], []
         for a, ((s, h, first, penult, last, pair), (grad, flux, grad2, across, diff, wrap), (_, diff_f)) in \
                 enumerate(zip(self.axes, self.work, self.diffs)):
             (divide, by), u_lo, u_hi = _divider(h), uf[:n - s], uf[s:]
@@ -315,15 +318,19 @@ class _Stepper:
                           (np.multiply, (across, np.array(0.5), across)),
                           (np.square, (across, across)), (np.add, (grad2, across, grad2))]
             calls += _diffusivity_calls(self.params, self.cfg, u_lo, u_hi, grad2, flux_f)
-            calls += [(flux[last].fill, (0.0,))] if a else []  # the wrap faces, before d_max is read
-            calls += [(take_max, (a, flux_f)), (np.multiply, (flux_f, grad_f, flux_f)),
-                      (np.subtract, (flux_f[s:], flux_f[:n - 2 * s], diff_f)), (divide, (diff_f, by, diff_f))]
+            calls += [(flux[last].fill, (0.0,))] if a else []  # the wrap faces, before F and d_max
+            calls += [(np.multiply, (grad_f, flux_f, grad_f)),  # F = grad u * D, the same bits as D * grad u
+                      (np.subtract, (grad_f[s:], grad_f[:n - 2 * s], diff_f)), (divide, (diff_f, by, diff_f))]
             if wrap is not None:  # x + -0.0 is x for every x, and -0.0 * dt is -0.0
-                calls += [(np.subtract, (flux[first], flux[penult], wrap)), (divide, (wrap, by, wrap))] + \
+                calls += [(np.subtract, (grad[first], grad[penult], wrap)), (divide, (wrap, by, wrap))] + \
                     ([(diff[pair].fill, (-0.0,))] if a else [])
         self.u, self.calls = u, grads + calls  # the tangential term reads every axis' gradients
-        self.nodes = [(uf if isinstance(index, slice) else u)[index] for index, _ in self.diffs]
-        self.wraps = [(u[first], u[last]) for _, _, first, _, last, _ in self.axes] if self.periodic else []
+        nodes = [(uf if isinstance(index, slice) else u)[index] for index, _ in self.diffs]
+        self.updates = [op for x, (_, diff) in zip(nodes, self.diffs)  # through a view: ``u[i] += d`` copies
+                        for op in ((np.multiply, (diff, self.dt, diff)), (np.add, (x, diff, x)))]
+        zero = _zero_edges(u) if self.cfg.boundary is Boundary.DIRICHLET_ZERO else []
+        self.edges = [(edge.fill, (0.0,)) for edge in zero] + \
+            [(np.copyto, (u[last], u[first])) for _, _, first, _, last, _ in self.axes if self.periodic]
 
     def fluxes(self, u):
         """The flux differences of F = D * grad u as ``(index, difference)`` pairs,
@@ -332,42 +339,43 @@ class _Stepper:
         wrapped-face flux into its first slab, ``(first, (F[first] - F[last]) / h)``,
         ``first`` an index tuple of the node array.  The list and the differences are
         the stepper's own, the same objects at every call, and the next call
-        overwrites them.  ``apply`` scales them by dt and advances u, both in place,
-        so a multi-stage scheme must copy u and any difference it reuses."""
+        overwrites them.  d_max is one ``argmax`` of ``faces_d``, which stops at the
+        first NaN, so d_max is NaN if any face D is.  ``apply`` scales the differences
+        by dt and advances u, both in place, so a multi-stage scheme must copy u and
+        any difference it reuses."""
         if u is not self.u:
             self._bind(u)
         for fn, args in self.calls:
             fn(*args)
-        return self.diffs, max(self.d_max)
+        return self.diffs, self.faces_d.item(self.faces_d.argmax())
 
     def apply(self, u, dt, diffs, f_nodes):
-        """Advance u in place by one step dt of the scheme, from ``fluxes(u)``, before
-        the boundary; the differences in ``diffs``, the stepper's buffers, are left
-        scaled by dt until the next ``fluxes`` call overwrites them."""
+        """Advance u in place by one step dt from ``diffs = fluxes(u)``: the bound
+        ``updates``, dt f, then the bound ``edges``, so only an oracle boundary is left
+        to the caller.  The differences stay scaled by dt until the next ``fluxes``."""
         if u is not self.u:
             self._bind(u)
-        step = self.dt
-        step[()] = dt
-        for nodes, (_, diff) in zip(self.nodes, diffs):
-            np.multiply(diff, step, diff)
-            np.add(nodes, diff, nodes)  # through a view: ``u[index] += diff`` copies the sum onto itself
+        self.dt[()] = dt
+        for fn, args in self.updates:
+            fn(*args)
         if f_nodes is not None:
-            np.add(u, np.multiply(f_nodes, step, self.source_dt), u)  # edges are reset by the boundary
-        for first, last in self.wraps:
-            np.copyto(last, first)
+            np.add(u, np.multiply(f_nodes, self.dt, self.source_dt), u)  # edges are reset by the boundary
+        for fn, args in self.edges:
+            fn(*args)
+
+
+def _zero_edges(u) -> list:
+    """Each axis' first and last slab of u as one strided view."""
+    return [u[_axis_index(u.ndim, a, slice(None, None, n - 1))] for a, n in enumerate(u.shape)]
 
 
 def _boundary_setter(cfg, grid, oracle, u) -> Callable:
-    """t -> None imposing ``cfg.boundary`` on u in place, the zero edges through views taken once."""
-    if cfg.boundary is Boundary.PERIODIC:
-        return lambda t: None
-    if cfg.boundary is Boundary.DIRICHLET_ZERO:  # each axis' first and last slab as one strided view
-        pairs = [u[_axis_index(grid.dim, a, slice(None, None, n - 1))] for a, n in enumerate(grid.nx)]
-
-        def set_zero(t):
-            for pair in pairs:
-                pair.fill(0.0)
-        return set_zero
+    """t -> None imposing ``cfg.boundary`` on u in place.  ``solve`` runs it at the
+    first level, and after each sub-step only for the oracle boundary: the
+    stepper's ``apply`` keeps a zero or PERIODIC one."""
+    if cfg.boundary is not Boundary.DIRICHLET_FROM_ORACLE:
+        edges = _zero_edges(u) if cfg.boundary is Boundary.DIRICHLET_ZERO else []
+        return lambda t: [edge.fill(0.0) for edge in edges]
     if oracle is None:
         raise ValueError("dirichlet_oracle boundary requires a reference solution")
     edges = [_axis_index(grid.dim, a, i) for a in range(grid.dim) for i in (0, -1)]
@@ -411,7 +419,8 @@ def solve(
     Raises
     ------
     BlowUp
-        Non-finite value detected (with the offending sub-step index).
+        Non-finite value, with the sub-steps done and the time: a non-finite d_max
+        at the sub-step that reads it, an overflow in u at the end of its stored level.
     UnstableConfig
         Sub-stepping exceeded ``cfg.max_steps``.
     """
@@ -431,23 +440,26 @@ def solve(
         raise BlowUp(0, t)
     out[0] = u
     steps = 0
+    fluxes, apply, cfl_step, max_steps = stepper.fluxes, stepper.apply, stepper.step, cfg.max_steps
+    eval_nodes = source.eval_nodes if source is not None else None
+    set_bc = set_bc if cfg.boundary is Boundary.DIRICHLET_FROM_ORACLE else None  # else ``apply`` keeps it
 
     # an overflow is an inf that the d_max and end-of-level checks raise as BlowUp
     with np.errstate(over="ignore", invalid="ignore"):
         for level, t_target in enumerate(grid.t_nodes[1:].tolist(), start=1):  # exact, as Python floats
             t_stop = t_target - 1e-13 * max(1.0, abs(t_target))
             while t < t_stop:
-                diffs, d_max = stepper.fluxes(u)
+                diffs, d_max = fluxes(u)
                 if not math.isfinite(d_max):
                     raise BlowUp(steps, t)
-                dt = min(stepper.step(d_max), t_target - t)
-                f_nodes = source.eval_nodes(grid, t) if source is not None else None
-                stepper.apply(u, dt, diffs, f_nodes)
+                dt = min(cfl_step(d_max), t_target - t)
+                apply(u, dt, diffs, eval_nodes(grid, t) if eval_nodes else None)
                 t += dt
-                set_bc(t)
+                if set_bc:
+                    set_bc(t)
                 steps += 1
-                if steps > cfg.max_steps:
-                    raise UnstableConfig(f"exceeded {cfg.max_steps} sub-steps at t={t:.6g}")
+                if steps > max_steps:
+                    raise UnstableConfig(f"exceeded {max_steps} sub-steps at t={t:.6g}")
             if not np.isfinite(u).all():
                 raise BlowUp(steps, t)
             t = t_target  # kill accumulated roundoff before the next interval

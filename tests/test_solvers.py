@@ -200,6 +200,21 @@ def test_face_diffusivity_is_the_one_closed_form(params):
         assert _face_diffusivity(params, cfg, u_lo, u_hi, None).tobytes() == want.tobytes()
 
 
+def test_the_m2_amplitude_is_exact_where_the_half_sum_is_subnormal():
+    """At m = 2, D = m |(u_lo + u_hi) / 2| is |u_lo + u_hi| with no halving, which
+    would round a subnormal half sum: 1.5 units of the last place to 2, 0.5 to 0."""
+    from holderlab.solvers import _face_diffusivity
+
+    cfg = SolverConfig()
+    u_lo, u_hi = [5e-324, -1e-323, 0.3], [1e-323, 5e-324, 0.2]
+    want = np.array([1.5e-323, 5e-324, 0.5])
+    got = _face_diffusivity(EquationParams.pme(2.0, 1), cfg, u_lo, u_hi, None)
+    assert got.tobytes() == want.tobytes()
+    grad2 = np.array([0.25, 4.0, 2.0])
+    got = _face_diffusivity(EquationParams.doubly_nonlinear(3.0, 2.0, 1), cfg, u_lo, u_hi, grad2)
+    assert got.tobytes() == (want * np.sqrt(grad2 + cfg.flux_regularization_eps**2)).tobytes()
+
+
 def test_conservation_periodic():
     g = GridSpec.one_d(-1.0, 1.0, 101, 0.0, 0.02, 11)
     init = 1.0 + 0.5 * np.cos(np.pi * g.x_nodes(0))
@@ -719,6 +734,19 @@ def test_the_flat_stepper_never_sees_a_wrap_face(params, boundary):
     assert d_max == want
 
 
+def test_a_nan_face_diffusivity_on_any_axis_is_the_d_max():
+    """d_max is NaN when any face D is, on whichever axis: +inf next to -inf along
+    the last axis gives one NaN face there, and infinite D on the first axis."""
+    from holderlab.solvers import _Stepper
+
+    g = GridSpec(2, ((0.0, 0.8), (0.0, 1.0)), (9, 11), (0.0, 0.1), 2)
+    u = np.zeros(g.spatial_shape())
+    u[4, 5], u[4, 6] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        _, d_max = _Stepper(EquationParams.pme(2.0, 2), SolverConfig(), g).fluxes(u)
+    assert math.isnan(d_max)
+
+
 @pytest.mark.parametrize("params", _FAMILIES_2D, ids=lambda p: p.kind.value)
 def test_a_periodic_step_adds_only_the_wrapped_face_flux_to_the_first_slab(params):
     """u, a function of the column alone, has no flux along the first axis, so one
@@ -741,22 +769,52 @@ def test_a_periodic_step_adds_only_the_wrapped_face_flux_to_the_first_slab(param
 @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET_ZERO, Boundary.PERIODIC])
 @pytest.mark.parametrize("params", _FAMILIES_2D, ids=lambda p: p.kind.value)
 def test_a_two_d_stepper_binds_contiguous_passes(params, boundary):
-    """Every array a 2D stepper's passes and node updates read or write is
-    C-contiguous, but for one- and two-node slabs at the ends of the last axis: the
-    one-sided node gradients, the wrapped-face flux and the wrap faces' and edge
-    slots' fills.  A strided face pass such as u[:, :-1] fails here."""
+    """Every array the bound passes of a 2D stepper's ``fluxes`` and ``apply`` read
+    or write is C-contiguous, but for one- and two-node slabs at the ends of the last
+    axis (the one-sided node gradients, the wrapped-face flux, its first-slab update
+    and last-slab copy, and the wrap faces' and edge slots' fills) and for the two
+    strided Dirichlet-zero edge fills.  A strided face pass such as u[:, :-1] fails here."""
     from holderlab.solvers import _Stepper
 
     g = GridSpec(2, ((0.0, 0.8), (0.0, 1.0)), (9, 11), (0.0, 0.1), 2)
     stepper = _Stepper(params, SolverConfig(boundary=boundary), g)
     stepper.fluxes(np.ones(g.spatial_shape()))
-    operands = [x for fn, args in stepper.calls for x in (getattr(fn, "__self__", None), *args)
-                if isinstance(x, np.ndarray) and x.ndim > 0] + stepper.nodes
+    zero_fills = [fn.__self__ for fn, _ in stepper.edges] if boundary is Boundary.DIRICHLET_ZERO else []
+    assert [(x.shape, x.flags.c_contiguous) for x in zero_fills] == \
+        ([((2, 11), False), ((9, 2), False)] if zero_fills else [])
+    operands = [x for fn, args in stepper.calls + stepper.updates + stepper.edges
+                for x in (getattr(fn, "__self__", None), *args)
+                if isinstance(x, np.ndarray) and x.ndim > 0 and not any(x is e for e in zero_fills)]
     strided = [x.shape for x in operands if not x.flags.c_contiguous]
     assert sum(x.ndim == 1 for x in operands) > len(strided)
     assert set(strided) <= {(9, 1), (9, 2)}
     if boundary is Boundary.DIRICHLET_ZERO and params.p == 2.0:
         assert strided == [(9, 1)]  # the wrap faces' fill
+
+
+@pytest.mark.parametrize("m", [2.0, 1.5])
+@pytest.mark.parametrize("case", ["1d_zero", "2d_oracle"])
+def test_the_benchmark_configurations_bind_their_pass_counts(case, m):
+    """The passes of one substep on the benchmark's two solver configurations, PME
+    in 1D on 801 nodes with zero edges and in 2D on 129^2 with an oracle boundary:
+    ``fluxes``' list, and ``apply``'s updates and edge fills.  At m = 2 no flux pass
+    multiplies by a 0-d 1/2 or m; at m = 1.5 both are there.  A pass added back
+    fails the count."""
+    from holderlab.solvers import _Stepper
+
+    if case == "2d_oracle":
+        g = GridSpec.two_d((-2.0, 2.0), (-2.0, 2.0), 129, 129, 1.0, 2.5, 151)
+        cfg = SolverConfig(boundary=Boundary.DIRICHLET_FROM_ORACLE)
+    else:
+        g, cfg = GridSpec.one_d(-1.0, 1.0, 801, 0.0, 0.07, 81), SolverConfig()
+    stepper = _Stepper(EquationParams.pme(m, g.dim), cfg, g)
+    stepper.fluxes(np.ones(g.spatial_shape()))
+    want = {("1d_zero", 2.0): (7, 3), ("2d_oracle", 2.0): (15, 4),
+            ("1d_zero", 1.5): (10, 3), ("2d_oracle", 1.5): (21, 4)}[case, m]
+    assert (len(stepper.calls), len(stepper.updates) + len(stepper.edges)) == want
+    scales = {x.item() for fn, args in stepper.calls if fn is np.multiply
+              for x in args if isinstance(x, np.ndarray) and x.ndim == 0}
+    assert {0.5, m} & scales == (set() if m == 2.0 else {0.5, m})
 
 
 @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET_FROM_ORACLE, Boundary.PERIODIC])

@@ -7,7 +7,9 @@ as a read-only view of the caller's array, not a copy.  A region read averages
 or scans only the block that holds the region.  Off-node values blend linearly
 along one axis after another (multilinear interpolation), which keeps them
 inside the node range of their cell.  Quadrature is the composite midpoint rule
-over space-time cells whose centers fall in the requested region.
+over space-time cells whose centers fall in the requested region.  A function of
+(x, t) is any callable ``f(*xs, t)`` whose arguments broadcast together: a catalog
+``ClosedForm``, a ``SpaceTimeField``, an exact solution's ``eval``, a plain function.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -183,6 +186,9 @@ class SpaceTimeField:
         locs += [_axis_locate(x, g.x_extent[a][0], g.dx[a], g.nx[a], "x") for a, x in enumerate(xs)]
         return _lerp(self.values, locs, ())
 
+    def __call__(self, *coords) -> np.ndarray:
+        return self.interp(*coords)
+
 
 def _axis_index(ndim: int, axis: int, index) -> tuple:
     """Index tuple that applies ``index`` on ``axis`` and keeps every other axis whole."""
@@ -317,7 +323,7 @@ def _region_nodes(field: SpaceTimeField, region) -> np.ndarray | None:
 
 
 def sample(fn: Callable, grid: GridSpec, name: str = "") -> SpaceTimeField:
-    """Sample a closed-form expression ``fn(x[, y], t)`` node-exactly.
+    """Sample a function of (x, t), ``fn(x[, y], t)``, node-exactly.
 
     ``fn`` must broadcast t the way it broadcasts x: elementwise, with no Python
     branch or reduction on t.  It is first called with the first two time nodes
@@ -377,15 +383,15 @@ def covered_measure(field: SpaceTimeField, region) -> float:
 # -- closed-form expression catalog -----------------------------------------
 
 def _dist2(xs, center=None):
-    """Squared distance of the points ``xs`` from ``center``: the origin if None,
-    and a scalar centre applies on every axis.  The result is a fresh array (or
-    scalar) that a caller may update in place."""
+    """Squared distance of the points ``xs`` from ``center``: the origin if None, a
+    scalar centre on every axis, else one entry per axis (``ValueError`` if not).
+    The result is a fresh array (or scalar) that a caller may update in place."""
     if center is None:  # x - 0.0 is x exactly
         terms = [np.asarray(x, dtype=float) ** 2 for x in xs]
     else:
         if np.ndim(center) == 0:
             center = (center or 0.0,) * len(xs)
-        terms = [(np.asarray(x) - c) ** 2 for x, c in zip(xs, center)]
+        terms = [(np.asarray(x) - c) ** 2 for x, c in zip(xs, center, strict=True)]
     r2 = terms[0]
     for term in terms[1:]:
         r2 = r2 + term  # not in place: the axes may broadcast to a larger shape
@@ -406,13 +412,6 @@ def _make_affine(slopes=(1.0,), t_slope=0.0, offset=0.0):
     return fn
 
 
-def _make_power_abs(s=0.75, center=None, scale=1.0):
-    from .solvers import PowerProfile  # local import: solvers owns the profile
-
-    profile = PowerProfile(s, center)
-    return lambda *a: scale * profile.eval(*a)
-
-
 def _make_power_spacetime(s_x=0.75, s_t=0.5, t_ref=0.0, center=None, cx=1.0, ct=1.0):
     def fn(*a):
         *xs, t = a
@@ -429,13 +428,6 @@ def _make_sin_product(k=(1.0,), omega=0.0, amplitude=1.0, phase=0.0):
             out = out * np.sin(ki * np.pi * np.asarray(x) + phase)
         return out
     return fn
-
-
-def _make_heat_mode(extent=(0.0, 1.0), amplitude=1.0, mode=1, dim=1):
-    """Separable heat solution A sin(k pi (x-lo)/L)... exp(-dim k^2 pi^2 t / L^2)."""
-    from .solvers import HeatSeparable  # local import: solvers owns the profile
-
-    return HeatSeparable(n=dim, extent=extent, amplitude=amplitude, mode=mode).eval
 
 
 def _make_gaussian(center=None, width=0.25, amplitude=1.0):
@@ -458,12 +450,6 @@ def _make_bump(x_support=((-0.5, 0.5),), t_support=(0.0, 1.0)):
             out = out * one_axis(x, lo, hi)
         return out
     return fn
-
-
-def _make_barenblatt(m=2.0, n=1, mass=1.0):
-    from .solvers import BarenblattPME  # local import: solvers owns the profile
-
-    return BarenblattPME(m=m, n=n, mass=mass).eval
 
 
 def _make_trig_series(seed=0, terms=4, kink=0.0, extent=(-1.0, 1.0)):
@@ -512,13 +498,10 @@ CATALOG: dict[str, Callable] = {
     "zero": lambda: _make_constant(0.0),
     "constant": _make_constant,
     "affine": _make_affine,
-    "power_abs": _make_power_abs,
     "power_spacetime": _make_power_spacetime,
     "sin_product": _make_sin_product,
-    "heat_mode": _make_heat_mode,
     "gaussian": _make_gaussian,
     "bump": _make_bump,
-    "barenblatt": _make_barenblatt,
     "trig_series": _make_trig_series,
     "rough_power": _make_rough_power,
 }
@@ -535,43 +518,44 @@ def expression(name: str, **params) -> Callable:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Named catalog expression plus its parameters."""
+    """Named catalog expression plus its parameters; its catalog function is built once."""
 
     expr: str
     params: dict
 
-    def fn(self) -> Callable:
+    @cached_property
+    def _fn(self) -> Callable:
         return expression(self.expr, **self.params)
 
     def __call__(self, *a):
-        return self.fn()(*a)
+        return self._fn(*a)
 
 
 class _NodePlan(NamedTuple):
     """What ``SourceTerm.eval_nodes`` reuses across calls on one grid."""
 
-    form: ClosedForm
+    form: Callable
     grid: GridSpec
     mesh: tuple
-    fn: Callable
     values: np.ndarray | None  # read-only node values of a t-free form
 
     def at(self, t: float) -> np.ndarray:
         """Fresh node values of the form at time t; ``EvaluationFailure`` at a singular node."""
-        return self.finite(np.broadcast_to(np.asarray(self.fn(*self.mesh, t), dtype=float),
+        return self.finite(np.broadcast_to(np.asarray(self.form(*self.mesh, t), dtype=float),
                                            self.grid.spatial_shape()).copy(), t)
 
     def finite(self, values: np.ndarray, t: float) -> np.ndarray:
-        if not np.isfinite(values).all():
-            raise EvaluationFailure(f"source {self.form.expr!r} is not finite at a node at t = {t}")
+        if not np.isfinite(values).all():  # named by expr, qualname or type, never by a field's values
+            name = getattr(self.form, "expr", getattr(self.form, "__qualname__", type(self.form).__name__))
+            raise EvaluationFailure(f"source {name!r} is not finite at a node at t = {t}")
         return values
 
 
 @dataclass
 class SourceTerm:
-    """Source f with its declared L^q (space) / L^r (time) integrability."""
+    """Source f, any function of (x, t), with its declared L^q (space) / L^r (time) integrability."""
 
-    form: ClosedForm | SpaceTimeField
+    form: Callable
     q: float = math.inf
     r: float = math.inf
     _plan: _NodePlan | None = dc_field(default=None, init=False, repr=False, compare=False)
@@ -579,32 +563,27 @@ class SourceTerm:
     def eval_nodes(self, grid: GridSpec, t: float) -> np.ndarray:
         """Spatial node values of f at time t.
 
-        A catalog form is probed as ``sample`` probes, at the first call's t
-        twice.  A time-free one is evaluated once per grid and the same
-        read-only array is returned at every t; any other returns a fresh array
-        per call.
+        The form is probed as ``sample`` probes, at the first call's t twice.  A
+        time-free one (never a field) is evaluated once per grid and the same
+        read-only array is returned at every t; any other, a fresh array per call.
         """
         plan = self._plan
         if plan is not None and plan.values is not None and plan.grid is grid and plan.form is self.form:
             return plan.values  # the time-free row, checked first: a solve asks for it every substep
-        if isinstance(self.form, SpaceTimeField):
-            return self.form.interp(*grid.node_mesh(), np.full(grid.spatial_shape(), t))
         if plan is None or plan.form is not self.form or not (plan.grid is grid or plan.grid == grid):
             plan = self._plan = self._node_plan(grid, t)
         return plan.at(t) if plan.values is None else plan.values
 
     def _node_plan(self, grid: GridSpec, t: float) -> _NodePlan:
-        plan = _NodePlan(self.form, grid, grid.node_mesh(), self.form.fn(), None)
-        row = _time_free_row(plan.fn, plan.mesh, (t, t))
+        plan = _NodePlan(self.form, grid, grid.node_mesh(), None)
+        row = _time_free_row(plan.form, plan.mesh, (t, t))
         if row is None:
             return plan
         plan.finite(row, t).flags.writeable = False
         return plan._replace(values=row)
 
     def as_field(self, grid: GridSpec) -> SpaceTimeField:
-        if isinstance(self.form, SpaceTimeField):
-            return self.form
-        return sample(self.form.fn(), grid, name="source")
+        return self.form if isinstance(self.form, SpaceTimeField) else sample(self.form, grid, name="source")
 
 
 # -- serialization -----------------------------------------------------------

@@ -93,10 +93,12 @@ class HeatSeparable:
     mode: int = 1
 
     def eval(self, *coords):
+        if len(coords) != self.n + 1:
+            raise ValueError(f"eval takes {self.n + 1} coordinates (x[, y], t), got {len(coords)}")
         *xs, t = coords
         lo, hi = self.extent
         freq = self.mode * math.pi / (hi - lo)
-        out = self.amplitude * np.exp(-len(xs) * freq**2 * np.asarray(t, dtype=float))
+        out = self.amplitude * np.exp(-self.n * freq**2 * np.asarray(t, dtype=float))
         for x in xs:
             out = out * np.sin(freq * (np.asarray(x) - lo))
         return out
@@ -136,6 +138,8 @@ class BarenblattPME:
         return (self.mass * self.b ** (self.n / 2.0) / k_n) ** (1.0 / (s + self.n / 2.0))
 
     def eval(self, *coords):
+        if len(coords) != self.n + 1:
+            raise ValueError(f"eval takes {self.n + 1} coordinates (x[, y], t), got {len(coords)}")
         *xs, t = coords
         t = np.asarray(t, dtype=float)
         if t.size and not t.item(t.argmin()) > 0:  # argmin stops at the first NaN, so NaN fails too
@@ -174,6 +178,7 @@ class PowerProfile:
             return _dist2(xs, self.center) ** (self.s / 2.0)
 
 
+# kept for the benchmark, which calls and traces it by this name; elsewhere ``sample(ref.eval, grid)``
 def sample_reference(ref, grid: GridSpec) -> SpaceTimeField:
     return sample(ref.eval, grid, name=type(ref).__name__)
 
@@ -404,9 +409,9 @@ def solve(
     ----------
     params : EquationParams
     source : SourceTerm or None
-        Evaluated explicitly at each sub-step time; a t-free catalog source
-        is evaluated once per grid (see ``SourceTerm.eval_nodes``).  None
-        means f = 0.
+        Evaluated explicitly at each sub-step time; its form is any function
+        of (x, t) (see ``fields``), and a t-free one is evaluated once per
+        grid (see ``SourceTerm.eval_nodes``).  None means f = 0.
     init : ndarray or callable
         Initial spatial profile at ``grid.t_extent[0]``; a callable is
         evaluated on the spatial node mesh.
@@ -414,7 +419,8 @@ def solve(
         Output sampling; sub-stepping refines internally to satisfy CFL.
     cfg : SolverConfig
     oracle
-        Reference solution for the DIRICHLET_FROM_ORACLE boundary.
+        Reference solution for the DIRICHLET_FROM_ORACLE boundary; its ``eval``
+        is a function of (x, t), called once per edge with a time array.
 
     Raises
     ------

@@ -75,7 +75,7 @@ def test_sample_zero_and_exact_nodes(unit_grid):
     f = sample(expression("zero"), unit_grid)
     assert not f.values.any()
     g = GridSpec.one_d(0.0, 1.0, 101, 0.0, 0.1, 101)
-    fn = expression("heat_mode", extent=(0.0, 1.0))
+    fn = HeatSeparable(1, (0.0, 1.0)).eval
     fld = sample(fn, g)
     xs = g.x_nodes(0)
     for k in (0, 37, 100):
@@ -121,7 +121,7 @@ def test_interp_quadratic_midpoint_error(unit_grid):
 
 
 def test_interp_power_holder_bound(unit_grid):
-    f = sample(expression("power_abs", s=0.75), unit_grid)
+    f = sample(PowerProfile(0.75).eval, unit_grid)
     dx = unit_grid.dx[0]
     x = dx / 2.0
     err = abs(interpolate_eval(f, (x, 0.0)) - x**0.75)
@@ -289,22 +289,25 @@ CATALOG_PARAMS = {
     "zero": {},
     "constant": {"value": 2.5},
     "affine": {"slopes": (1.5,), "t_slope": -0.5, "offset": 0.25},
-    "power_abs": {"s": 0.6, "center": (0.1,), "scale": 2.0},
     "power_spacetime": {"s_x": 0.75, "s_t": 0.5, "t_ref": 0.3},
     "sin_product": {"k": (2.0,), "omega": 1.5, "phase": 0.2},
-    "heat_mode": {"extent": (-1.0, 1.0), "mode": 2},
     "gaussian": {"center": (0.2,), "width": 0.3, "amplitude": -1.5},
     "bump": {"x_support": ((-0.5, 0.7),), "t_support": (0.0, 1.0)},
-    "barenblatt": {"m": 2.0, "n": 1, "mass": 0.5},
     "trig_series": {"seed": 3, "terms": 5, "kink": 0.7},
     "rough_power": {"sigma": 0.4, "cap": 30.0, "center": 0.0},
 }
+# every catalog entry as a ClosedForm, and three exact solutions' bound ``eval``s, which are
+# functions of (x, t) as well; the ids of these three name the catalog entries they replaced
+FORMS = {**{name: ClosedForm(name, params) for name, params in CATALOG_PARAMS.items()},
+         "power_abs": PowerProfile(0.6, (0.1,)).eval,
+         "heat_mode": HeatSeparable(1, (-1.0, 1.0), mode=2).eval,
+         "barenblatt": BarenblattPME(2.0, 1, 0.5).eval}
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+@pytest.mark.parametrize("name", sorted(FORMS))
 def test_eval_nodes_matches_per_call_reference(name):
     grid = GridSpec.one_d(-1.0, 1.0, 41, 0.0, 1.0, 5)
-    form = ClosedForm(name, CATALOG_PARAMS[name])
+    form = FORMS[name]
     src = SourceTerm(form)
     for t in (0.1, 0.35, 0.8, 0.35):
         ref = np.broadcast_to(form(*grid.node_mesh(), t), grid.spatial_shape())
@@ -335,7 +338,7 @@ def test_power_abs_singular_node_raises_evaluation_failure():
     # with no errstate here: the profile itself keeps numpy's divide warning quiet
     grid = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 1.0, 3)  # x = 0 is a node
     with pytest.raises(EvaluationFailure):
-        sample(expression("power_abs", s=-0.5), grid)
+        sample(PowerProfile(-0.5).eval, grid)
 
 
 def _sample_per_level(fn, grid):
@@ -351,9 +354,9 @@ GRID_1D = GridSpec.one_d(-1.0, 1.0, 41, 0.1, 1.0, 7)  # t > 0 for the Barenblatt
 GRID_2D = GridSpec.two_d((-1.0, 1.0), (-1.5, 1.0), 17, 13, 0.1, 1.0, 6)
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+@pytest.mark.parametrize("name", sorted(FORMS))
 def test_sample_matches_per_level_loop_catalog(name):
-    fn = expression(name, **CATALOG_PARAMS[name])
+    fn = FORMS[name]
     assert sample(fn, GRID_1D).values.tobytes() == _sample_per_level(fn, GRID_1D).tobytes()
 
 
@@ -378,7 +381,7 @@ def test_sample_calls_a_time_free_form_once():
             return fn(*a)
         return wrapper
 
-    sample(counted(expression("power_abs")), GRID_1D)
+    sample(counted(PowerProfile(0.75).eval), GRID_1D)
     assert len(calls) == 1
     calls.clear()
     sample(counted(expression("bump")), GRID_1D)
@@ -414,7 +417,7 @@ def test_eval_nodes_new_grid_or_form_gets_fresh_values():
 
     coarse = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 1.0, 3)
     fine = GridSpec.one_d(-1.0, 1.0, 41, 0.0, 1.0, 3)
-    form = ClosedForm("power_abs", {"s": 0.5})
+    form = PowerProfile(0.5).eval
     src = SourceTerm(form)
     on_coarse = src.eval_nodes(coarse, 0.0)
     assert np.array_equal(src.eval_nodes(fine, 0.0), reference(form, fine))
@@ -422,7 +425,7 @@ def test_eval_nodes_new_grid_or_form_gets_fresh_values():
     equal_grid = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 1.0, 3)
     assert src.eval_nodes(equal_grid, 0.0) is src.eval_nodes(coarse, 0.0)
 
-    src.form = ClosedForm("power_abs", {"s": 1.5})
+    src.form = PowerProfile(1.5).eval
     assert np.array_equal(src.eval_nodes(coarse, 0.0), reference(src.form, coarse))
     assert not np.array_equal(src.eval_nodes(coarse, 0.0), on_coarse)
 
@@ -437,12 +440,70 @@ def test_gaussian_scalar_center_applies_on_every_axis():
     assert np.array_equal(scalar, expression("gaussian", center=(0.5, 0.5), width=0.3)(*mesh, 0.0))
 
 
+def test_gaussian_tuple_center_needs_one_entry_per_axis():
+    # a 1D centre in 2D must not drop y
+    mesh = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 9, 11, 0.0, 1.0, 2).node_mesh()
+    with pytest.raises(ValueError):
+        expression("gaussian", center=(0.2,))(*mesh, 0.0)
+
+
+def test_a_plain_time_free_callable_gives_one_read_only_cached_row():
+    grid = GridSpec.two_d((-1.0, 1.0), (-1.0, 1.0), 9, 11, 0.0, 1.0, 3)
+    params = {"center": (0.1, -0.2)}
+    src = SourceTerm(expression("gaussian", **params))
+    first = src.eval_nodes(grid, 0.0)
+    assert not first.flags.writeable and src.eval_nodes(grid, 0.7) is first
+    assert _same_bits(first, SourceTerm(ClosedForm("gaussian", params)).eval_nodes(grid, 0.0))
+
+
+@pytest.mark.parametrize("grid", [GRID_1D, GRID_2D], ids=["1d", "2d"])
+def test_field_source_is_its_interp_at_the_nodes(grid):
+    f = sample(expression("sin_product", k=(1.0, 2.0)[:grid.dim], omega=3.0), grid)
+    src = SourceTerm(f)
+    for t in (grid.t_nodes[0], grid.t_nodes[2], 0.5 * (grid.t_nodes[3] + grid.t_nodes[4]), grid.t_nodes[-1]):
+        want = f.interp(*grid.node_mesh(), np.full(grid.spatial_shape(), t))
+        assert _same_bits(src.eval_nodes(grid, t), want) and _same_bits(f(*grid.node_mesh(), t), want)
+
+
+def test_closed_form_builds_its_catalog_function_once(monkeypatch):
+    builds = []
+
+    def counted(**params):
+        builds.append(params)
+        return CATALOG["sin_product"](**params)
+
+    monkeypatch.setitem(CATALOG, "counted", counted)
+    form = ClosedForm("counted", {"k": (1.0,), "omega": 2.0})
+    grid = GridSpec.one_d(0.0, 1.0, 21, 0.0, 1.0, 3)
+    src = SourceTerm(form)
+    for t in (0.0, 0.3, 0.6):
+        form(grid.x_nodes(), t)
+        src.eval_nodes(grid, t)
+    src.as_field(grid)
+    assert len(builds) == 1
+
+
+def test_evaluation_failure_names_the_form_and_not_a_fields_values():
+    grid = GridSpec.one_d(-1.0, 1.0, 21, 0.0, 1.0, 3)  # x = 0 is a node
+    with pytest.raises(EvaluationFailure, match="'rough_power'"):
+        SourceTerm(ClosedForm("rough_power", {"sigma": 0.4})).eval_nodes(grid, 0.0)
+    with pytest.raises(EvaluationFailure, match="'PowerProfile.eval'"):
+        SourceTerm(PowerProfile(-0.5).eval).eval_nodes(grid, 0.0)
+
+    class Overflowing(SpaceTimeField):  # interpolation of finite values stays finite
+        def interp(self, *coords):
+            return np.full(np.broadcast(*coords).shape, np.inf)
+
+    field = Overflowing(grid, np.full((grid.nt, *grid.nx), 1234.5))
+    with pytest.raises(EvaluationFailure, match="'Overflowing'") as failure:
+        SourceTerm(field).eval_nodes(grid, 0.0)
+    assert "1234" not in str(failure.value)
+
+
 _coord = st.floats(-1.0, 1.0)
 T_FREE_PARAMS = {
     "zero": st.fixed_dictionaries({}),
     "constant": st.fixed_dictionaries({"value": st.floats(-10.0, 10.0)}),
-    "power_abs": st.fixed_dictionaries({"s": st.floats(0.05, 3.0), "center": st.tuples(_coord),
-                                        "scale": st.floats(-5.0, 5.0)}),
     "gaussian": st.fixed_dictionaries({"center": st.tuples(_coord), "width": st.floats(0.05, 2.0),
                                        "amplitude": st.floats(-5.0, 5.0)}),
     "trig_series": st.fixed_dictionaries({"seed": st.integers(0, 2**32 - 1),
@@ -458,12 +519,12 @@ def test_param_tables_cover_catalog():
     assert set(T_FREE_PARAMS) <= set(CATALOG)
 
 
-@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+@pytest.mark.parametrize("name", sorted(FORMS))
 def test_eval_nodes_reuses_one_array_exactly_for_time_free_forms(name):
     grid = GridSpec.one_d(-1.0, 1.0, 41, 0.0, 1.0, 5)
-    src = SourceTerm(ClosedForm(name, CATALOG_PARAMS[name]))
+    src = SourceTerm(FORMS[name])
     first, second = src.eval_nodes(grid, 0.35), src.eval_nodes(grid, 0.8)
-    if name in T_FREE_PARAMS:
+    if name in {*T_FREE_PARAMS, "power_abs"}:
         assert first is second and not first.flags.writeable
     else:
         assert first.flags.writeable and second.flags.writeable

@@ -52,7 +52,7 @@ from holderlab.geometry import (
     smallness,
     sup_oscillation,
 )
-from holderlab.solvers import BarenblattPME, SolverConfig, residual, sample_reference, stable_dt
+from holderlab.solvers import BarenblattPME, PowerProfile, SolverConfig, residual, sample_reference, stable_dt
 
 
 def g1_grid(nx=201, nt=101):
@@ -98,7 +98,7 @@ def test_sup_oscillation_linear():
 
 def test_sup_oscillation_power_ladder():
     g = g1_grid(1601, 41)
-    f = sample(expression("power_abs", s=0.75), g)
+    f = sample(PowerProfile(0.75).eval, g)
     dx = g.dx[0]
     for k in range(5):
         tau = 0.5 * 0.5**k

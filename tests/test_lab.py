@@ -23,7 +23,7 @@ from holderlab.lab import (
     oscillation_profile,
     time_direction_oscillations,
 )
-from holderlab.solvers import BarenblattPME, sample_reference
+from holderlab.solvers import BarenblattPME, HeatSeparable, PowerProfile, sample_reference
 
 
 def g1_grid(nx=801, nt=201):
@@ -59,7 +59,7 @@ def test_profile_constant_field():
 
 def test_profile_power_field_matches_closed_form():
     g = GridSpec.one_d(-1.0, 1.0, 3201, -0.3, 0.0, 1281)
-    f = sample(expression("power_abs", s=0.75), g)
+    f = sample(PowerProfile(0.75).eval, g)
     prof = oscillation_profile(f, (0.0, 0.0), 2.0, 0.5, 5, p=2.0, base_radius=0.5)
     dx = g.dx[0]
     for lv in prof.levels:
@@ -80,7 +80,7 @@ def test_profile_monotone_ladders():
 
 def test_profile_truncates_below_grid():
     g = g1_grid(101, 26)  # dx = 0.02
-    f = sample(expression("power_abs", s=0.5), g)
+    f = sample(PowerProfile(0.5).eval, g)
     prof = oscillation_profile(f, (0.0, 0.0), 2.0, 0.5, 10, base_radius=0.5)
     assert prof.k_max_effective < 10
     assert prof.levels[-1].radius >= g.dx[0]
@@ -219,7 +219,7 @@ def test_fit_barenblatt_free_boundary_sampled():
 
 def test_fit_smooth_interior_saturates():
     g = GridSpec.one_d(0.0, 1.0, 1025, 0.0, 0.3, 1921)
-    f = sample(expression("heat_mode", extent=(0.0, 1.0)), g)
+    f = sample(HeatSeparable(1, (0.0, 1.0)).eval, g)
     prof = oscillation_profile(f, (0.3, 0.25), 2.0, 0.5, 4, base_radius=0.2)
     fit = fit_exponent(prof, quantity="osc")
     assert fit.exponent >= 0.95
@@ -239,7 +239,7 @@ def test_campanato_constant_field_degenerate():
 
 def test_campanato_power_field():
     g = GridSpec.one_d(-1.0, 1.0, 2001, -0.3, 0.0, 1281)
-    f = sample(expression("power_abs", s=0.75), g)
+    f = sample(PowerProfile(0.75).eval, g)
     prof = oscillation_profile(f, (0.0, 0.0), 2.0, 0.5, 5, base_radius=0.5)
     rep = campanato_sequence(prof)
     assert not rep.degenerate
@@ -263,7 +263,7 @@ def test_campanato_needs_four_levels():
 def test_geometric_iteration_pure_power():
     gamma = 0.6
     g = g1_grid(2001, 201)
-    f = sample(expression("power_abs", s=gamma), g)
+    f = sample(PowerProfile(gamma).eval, g)
     rep = geometric_iteration_check(f, (0.0, 0.0), gamma, 2.0, 0.5, 6, base_radius=1.0)
     assert rep.first_fail_unit_c is None
     assert rep.c_min <= 1.0 + 1e-9

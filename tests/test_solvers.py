@@ -101,6 +101,22 @@ def test_power_profile_default_center_is_the_origin_in_2d():
                                rtol=1e-14, atol=0.0)
 
 
+def test_power_profile_centre_needs_one_entry_per_axis():
+    # a 1D centre in 2D must not drop y: |(0, 3) - (0.5,)| is no distance
+    with pytest.raises(ValueError):
+        PowerProfile(1.0, (0.5,)).eval(np.array([0.0]), np.array([3.0]), 0.0)
+
+
+@pytest.mark.parametrize("ref", [HeatSeparable(1), HeatSeparable(2), BarenblattPME(2.0, 1),
+                                 BarenblattPME(3.0, 2)], ids=lambda r: f"{type(r).__name__}_{r.n}d")
+def test_exact_solutions_need_one_coordinate_per_axis(ref):
+    x = np.array([0.25])
+    for count in (ref.n, ref.n + 2):  # 1D constants on a 2D point read a wrong value
+        with pytest.raises(ValueError, match="coordinates"):
+            ref.eval(*[x] * count)
+    assert np.shape(ref.eval(*[x] * (ref.n + 1))) == (1,)
+
+
 # -- solve: oracle errors ----------------------------------------------------
 
 
@@ -332,6 +348,18 @@ def test_non_finite_source_raises_evaluation_failure():
     source = SourceTerm(ClosedForm("rough_power", {"sigma": 0.4}))  # uncapped: inf at x = 0
     with pytest.raises(EvaluationFailure):
         solve(EquationParams.heat(1), source, np.zeros(21), g)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("sin_product", {"k": (1.0,), "omega": 30.0}),
+    ("rough_power", {"sigma": 0.4, "cap": 20.0, "center": 0.01}),
+], ids=["t_dependent", "t_free"])
+def test_a_plain_catalog_callable_solves_like_its_closed_form(name, params):
+    g = GridSpec.one_d(-1.0, 1.0, 41, 0.0, 0.01, 5)
+    u0 = 1.0 + 0.5 * np.cos(np.pi * g.x_nodes())
+    want = solve(EquationParams.pme(2.0, 1), SourceTerm(ClosedForm(name, params)), u0, g)
+    got = solve(EquationParams.pme(2.0, 1), SourceTerm(expression(name, **params)), u0, g)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_unstable_config_step_budget():

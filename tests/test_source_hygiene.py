@@ -75,6 +75,14 @@ def test_module_level_imports_point_to_an_earlier_layer(module):
     assert sorted(imported - set(LAYERS[:LAYERS.index(module)])) == []
 
 
+@pytest.mark.parametrize("module", sorted(set(MODULES) - {"__init__"}))
+def test_no_import_at_any_depth_points_to_a_later_layer(module):
+    # an import inside a function is as much a dependency as one at module level
+    imported = {stmt.module or alias.name for stmt in ast.walk(MODULES[module])
+                if isinstance(stmt, ast.ImportFrom) and stmt.level == 1 for alias in stmt.names}
+    assert sorted(imported & set(LAYERS[LAYERS.index(module) + 1:])) == []
+
+
 def _dataclass_keywords(cls) -> dict | None:
     """The keyword arguments of ``cls``'s ``@dataclass`` decorator, or None if it has none."""
     for dec in cls.decorator_list:

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "CATALOG",
     "expression",
     "sample",
-    "interpolate_eval",
     "integrate_region",
     "rough_power_cap",
     "save_field",
@@ -360,24 +359,13 @@ def _time_free_row(fn: Callable, mesh: tuple, times) -> np.ndarray | None:
     return np.array(np.broadcast_to(value, mesh[0].shape), dtype=float)
 
 
-def interpolate_eval(field: SpaceTimeField, point) -> float:
-    """Value at a space-time point ``(x[, y], t)`` by multilinear interpolation."""
-    *xs, t = point
-    return float(field.interp(*[np.asarray(x, dtype=float) for x in xs], np.asarray(t)))
-
-
 def integrate_region(field: SpaceTimeField, region, weight_power: float = 1.0) -> float:
     """Integral of |field|^weight_power over the region, midpoint rule.
 
-    Cells participate when their space-time center lies in the region.
+    Cells participate when their space-time center lies in the region; ``weight_power=0``
+    gives their volume, the covered measure, exactly: every term is 1, and a sum of ones is exact.
     """
-    flat = _region_cells(field, region)
-    return float((np.abs(flat) ** weight_power).sum() * field.grid.cell_volume)
-
-
-def covered_measure(field: SpaceTimeField, region) -> float:
-    """Total volume of the cells the midpoint rule assigns to the region."""
-    return float(_region_cells(field, region).size * field.grid.cell_volume)
+    return float((np.abs(_region_cells(field, region)) ** weight_power).sum() * field.grid.cell_volume)
 
 
 # -- closed-form expression catalog -----------------------------------------
@@ -531,59 +519,53 @@ class ClosedForm:
         return self._fn(*a)
 
 
-class _NodePlan(NamedTuple):
-    """What ``SourceTerm.eval_nodes`` reuses across calls on one grid."""
+@dataclass
+class SourceTerm:
+    """Source f, any function of (x, t), with its declared L^q (space) / L^r (time) integrability.
+    Its one cache, not compared and not shown, is the tuple (form, grid, node mesh, row) of
+    ``eval_nodes``' last probe: row is a time-free form's read-only node values, else None."""
 
     form: Callable
-    grid: GridSpec
-    mesh: tuple
-    values: np.ndarray | None  # read-only node values of a t-free form
+    q: float = math.inf
+    r: float = math.inf
+    _cache: tuple = dc_field(default=(None, None, None, None), init=False, repr=False, compare=False)
 
-    def at(self, t: float) -> np.ndarray:
-        """Fresh node values of the form at time t; ``EvaluationFailure`` at a singular node."""
-        return self.finite(np.broadcast_to(np.asarray(self.form(*self.mesh, t), dtype=float),
-                                           self.grid.spatial_shape()).copy(), t)
+    def eval_nodes(self, grid: GridSpec, t: float) -> np.ndarray:
+        """Spatial node values of f at time t; ``EvaluationFailure`` at a non-finite node.
 
-    def finite(self, values: np.ndarray, t: float) -> np.ndarray:
+        The form is probed as ``sample`` probes, at t twice, on a new form or unequal grid.
+        The cached row of a time-free form (never a field) is returned at every t.  Any
+        other form is called at every t; a writable float64 array of the grid's shape that
+        owns its memory is returned as it is, anything else copied, so a form must not
+        return an array it keeps between calls."""
+        form, cached, mesh, row = self._cache
+        if row is not None and cached is grid and form is self.form:
+            return row  # checked first: a solve asks for the time-free row every substep
+        if form is not self.form or not (cached is grid or cached == grid):
+            form, mesh = self.form, grid.node_mesh()
+            row = _time_free_row(form, mesh, (t, t))
+            if row is not None:
+                self._finite(row, t).flags.writeable = False
+            self._cache = (form, grid, mesh, row)
+        if row is not None:
+            return row
+        value, shape = form(*mesh, t), grid.spatial_shape()
+        if not (isinstance(value, np.ndarray) and value.base is None and value.dtype == np.float64
+                and value.shape == shape and value.flags.writeable):
+            value = np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
+        return self._finite(value, t)
+
+    def _finite(self, values: np.ndarray, t: float) -> np.ndarray:
         if not np.isfinite(values).all():  # named by expr, qualname or type, never by a field's values
             name = getattr(self.form, "expr", getattr(self.form, "__qualname__", type(self.form).__name__))
             raise EvaluationFailure(f"source {name!r} is not finite at a node at t = {t}")
         return values
 
-
-@dataclass
-class SourceTerm:
-    """Source f, any function of (x, t), with its declared L^q (space) / L^r (time) integrability."""
-
-    form: Callable
-    q: float = math.inf
-    r: float = math.inf
-    _plan: _NodePlan | None = dc_field(default=None, init=False, repr=False, compare=False)
-
-    def eval_nodes(self, grid: GridSpec, t: float) -> np.ndarray:
-        """Spatial node values of f at time t.
-
-        The form is probed as ``sample`` probes, at the first call's t twice.  A
-        time-free one (never a field) is evaluated once per grid and the same
-        read-only array is returned at every t; any other, a fresh array per call.
-        """
-        plan = self._plan
-        if plan is not None and plan.values is not None and plan.grid is grid and plan.form is self.form:
-            return plan.values  # the time-free row, checked first: a solve asks for it every substep
-        if plan is None or plan.form is not self.form or not (plan.grid is grid or plan.grid == grid):
-            plan = self._plan = self._node_plan(grid, t)
-        return plan.at(t) if plan.values is None else plan.values
-
-    def _node_plan(self, grid: GridSpec, t: float) -> _NodePlan:
-        plan = _NodePlan(self.form, grid, grid.node_mesh(), None)
-        row = _time_free_row(plan.form, plan.mesh, (t, t))
-        if row is None:
-            return plan
-        plan.finite(row, t).flags.writeable = False
-        return plan._replace(values=row)
-
     def as_field(self, grid: GridSpec) -> SpaceTimeField:
-        return self.form if isinstance(self.form, SpaceTimeField) else sample(self.form, grid, name="source")
+        """f on ``grid``: the form itself if it is a field on ``grid``, else sampled there."""
+        if isinstance(self.form, SpaceTimeField) and self.form.grid == grid:
+            return self.form
+        return sample(self.form, grid, name="source")
 
 
 # -- serialization -----------------------------------------------------------

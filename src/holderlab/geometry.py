@@ -44,7 +44,6 @@ from .fields import (
     _dist2,
     _region_cells,
     _region_nodes,
-    interpolate_eval,
 )
 
 __all__ = [
@@ -134,7 +133,7 @@ def sup_oscillation(field: SpaceTimeField, cyl: IntrinsicCylinder):
     g = field.grid
     if not cyl.contained_in(g):
         raise CylinderOutsideDomain(f"{cyl} escapes the field domain")
-    center_val = interpolate_eval(field, (*cyl.x0, cyl.t0))
+    center_val = float(field(*cyl.x0, cyl.t0))
     nodes = _region_nodes(field, cyl)
     if nodes is None:
         return 0.0, abs(center_val)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroLevels, CylinderOutsideDomain, EmptyIntersection, InsufficientLevels
-from .fields import SpaceTimeField, _region_cell_row, _region_cells, interpolate_eval
+from .errors import AllZeroLevels, CylinderOutsideDomain, InsufficientLevels
+from .fields import SpaceTimeField, _region_cell_row, _region_cells
 from .geometry import _box_inside, make_cylinder, sup_oscillation
 
 __all__ = [
@@ -122,14 +122,14 @@ def _golden_best_constant(vals: np.ndarray, p: float, rows: int = 1):
 def _require_ladder(lam, k_max):
     if not 0.0 < lam <= 0.5:
         raise ValueError(f"lam must lie in (0, 1/2], got {lam}")
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
+        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
 
 
 def _walk_ladder(grid, center, theta, lam, k_max, base_radius):
-    """Yield ``(k, tau, cylinder)`` for tau = base_radius * lam^k, k = 0..k_max,
-    stopping before the first degenerate level: k > 0 with a radius under the
-    largest grid spacing or a time extent under one time step."""
+    """Yield ``(k, tau, cylinder)`` for tau = base_radius * lam^k, k = 0..k_max, stopping
+    before the first degenerate level, k > 0 with tau < max dx or tau^theta < dt: so a
+    level k > 0 whose cylinder lies in the grid holds a cell centre."""
     dx_max = max(grid.dx)
     for k in range(k_max + 1):
         tau = base_radius * lam**k
@@ -174,12 +174,8 @@ def oscillation_profile(
     levels = []
     for k, tau, cyl in _walk_ladder(g, center, theta, lam, k_max, base_radius):
         osc, sup_abs = sup_oscillation(field, cyl)
-        try:  # a time-free field's cells are one row repeated; others are flattened
-            vals, rows = _region_cell_row(field, cyl) or (_region_cells(field, cyl).ravel(), 1)
-        except EmptyIntersection:
-            if k == 0:
-                raise
-            break
+        # a time-free field's cells are one row repeated; others are flattened
+        vals, rows = _region_cell_row(field, cyl) or (_region_cells(field, cyl).ravel(), 1)
         c_k, dist = _golden_best_constant(vals, p, rows)
         levels.append(ProfileLevel(k, tau, osc, sup_abs, dist, c_k))
     return OscillationProfile(
@@ -330,7 +326,7 @@ def geometric_iteration_check(
     ``k_max`` are checked as in ``oscillation_profile``.
     """
     _require_ladder(lam, k_max)
-    center_value = interpolate_eval(field, center)
+    center_value = float(field(*center))
     levels = []
     for k, tau, cyl in _walk_ladder(field.grid, center, theta, lam, k_max, base_radius):
         _, sup_abs = sup_oscillation(field, cyl)

@@ -354,10 +354,10 @@ class _Stepper:
             fn(*args)
         return self.diffs, self.faces_d.item(self.faces_d.argmax())
 
-    def apply(self, u, dt, diffs, f_nodes):
-        """Advance u in place by one step dt from ``diffs = fluxes(u)``: the bound
-        ``updates``, dt f, then the bound ``edges``, so only an oracle boundary is left
-        to the caller.  The differences stay scaled by dt until the next ``fluxes``."""
+    def apply(self, u, dt, f_nodes):
+        """Advance u in place by one step dt from the last ``fluxes(u)`` call's differences:
+        the bound ``updates``, dt f, then the bound ``edges``, so only an oracle boundary
+        is left to the caller.  The differences stay scaled by dt until the next ``fluxes``."""
         if u is not self.u:
             self._bind(u)
         self.dt[()] = dt
@@ -455,11 +455,11 @@ def solve(
         for level, t_target in enumerate(grid.t_nodes[1:].tolist(), start=1):  # exact, as Python floats
             t_stop = t_target - 1e-13 * max(1.0, abs(t_target))
             while t < t_stop:
-                diffs, d_max = fluxes(u)
+                _, d_max = fluxes(u)
                 if not math.isfinite(d_max):
                     raise BlowUp(steps, t)
                 dt = min(cfl_step(d_max), t_target - t)
-                apply(u, dt, diffs, eval_nodes(grid, t) if eval_nodes else None)
+                apply(u, dt, eval_nodes(grid, t) if eval_nodes else None)
                 t += dt
                 if set_bc:
                     set_bc(t)

@@ -24,7 +24,6 @@ from holderlab.fields import (
     _cell_average,
     expression,
     integrate_region,
-    interpolate_eval,
     load_field,
     rough_power_cap,
     sample,
@@ -116,7 +115,7 @@ def test_interp_quadratic_midpoint_error(unit_grid):
     f = sample(lambda x, t: x**2, unit_grid)
     dx = unit_grid.dx[0]
     x_mid = 0.5 * (unit_grid.x_nodes(0)[10] + unit_grid.x_nodes(0)[11])
-    err = abs(interpolate_eval(f, (x_mid, 0.5)) - x_mid**2)
+    err = abs(float(f(x_mid, 0.5)) - x_mid**2)
     assert err == pytest.approx(dx**2 / 4.0, rel=1e-9)
 
 
@@ -124,7 +123,7 @@ def test_interp_power_holder_bound(unit_grid):
     f = sample(PowerProfile(0.75).eval, unit_grid)
     dx = unit_grid.dx[0]
     x = dx / 2.0
-    err = abs(interpolate_eval(f, (x, 0.0)) - x**0.75)
+    err = abs(float(f(x, 0.0)) - x**0.75)
     assert err <= dx**0.75
 
 
@@ -147,13 +146,13 @@ def test_interp_monotone_within_cell(unit_grid):
 def test_out_of_domain(unit_grid):
     f = sample(expression("zero"), unit_grid)
     with pytest.raises(OutOfDomain):
-        interpolate_eval(f, (1.5, 0.5))
+        float(f(1.5, 0.5))
     with pytest.raises(OutOfDomain):
-        interpolate_eval(f, (0.5, -0.5))
+        float(f(0.5, -0.5))
     with pytest.raises(OutOfDomain):
-        interpolate_eval(f, (np.nan, 0.5))
+        float(f(np.nan, 0.5))
     with pytest.raises(OutOfDomain):
-        interpolate_eval(f, (0.5, np.nan))
+        float(f(0.5, np.nan))
 
 
 def _clip_locate(u_coord, lo, h, n):
@@ -409,6 +408,35 @@ def test_eval_nodes_t_dependent_is_fresh():
     src = SourceTerm(ClosedForm("sin_product", {"k": (1.0,), "omega": 2.0}))
     a, b = src.eval_nodes(grid, 0.2), src.eval_nodes(grid, 0.2)
     assert a is not b and a.flags.writeable and np.array_equal(a, b)
+
+
+def test_eval_nodes_returns_a_fresh_time_dependent_value_as_it_is():
+    grid = GridSpec.one_d(0.0, 1.0, 21, 0.0, 1.0, 3)
+    returned = []
+
+    def form(x, t):
+        returned.append(np.sin(x) * (1.0 + t))
+        return returned[-1]
+
+    assert SourceTerm(form).eval_nodes(grid, 0.3) is returned[-1]
+
+
+@pytest.mark.parametrize("kept", [
+    lambda x, t: (x + t)[...],
+    lambda x, t: (x + t).astype(np.float32),
+    lambda x, t: np.broadcast_to(x + t, np.shape(x + t)),
+], ids=["view", "float32", "read_only"])
+def test_eval_nodes_copies_a_value_it_may_not_own(kept):
+    grid = GridSpec.one_d(0.0, 1.0, 21, 0.0, 1.0, 3)
+    returned = []
+
+    def form(x, t):
+        returned.append(kept(x, t))
+        return returned[-1]
+
+    got = SourceTerm(form).eval_nodes(grid, 0.3)
+    assert got.flags.writeable and got.dtype == np.float64 and got.base is None
+    assert not np.shares_memory(got, returned[-1]) and np.array_equal(got, returned[-1])
 
 
 def test_eval_nodes_new_grid_or_form_gets_fresh_values():
@@ -686,7 +714,7 @@ def test_interp_needs_one_coordinate_per_axis(grid, one_row):
         with pytest.raises(ValueError, match="coordinates"):
             f.interp(*[np.array([0.5])] * n)
         with pytest.raises(ValueError, match="coordinates"):
-            interpolate_eval(f, (0.5,) * n)
+            float(f(*(0.5,) * n))
     assert np.shape(f.interp(*[np.array([0.5])] * (grid.dim + 1))) == (1,)
 
 
@@ -811,3 +839,11 @@ def test_os_errors_raise_io_failure(tmp_path, io):
 def test_source_term_of_a_field_is_that_field():
     f = sample(expression("zero"), _tiny_grid())
     assert SourceTerm(f).as_field(_tiny_grid()) is f
+
+
+def test_source_term_of_a_field_on_another_grid_is_sampled_there():
+    coarse = GridSpec.one_d(0.0, 1.0, 11, 0.0, 1.0, 5)
+    fine = GridSpec.one_d(0.0, 1.0, 21, 0.0, 1.0, 9)
+    f = sample(expression("sin_product", k=(1.0,), omega=2.0), coarse)
+    got = SourceTerm(f).as_field(fine)
+    assert got.grid == fine and _same_bits(got.values, sample(f, fine).values)

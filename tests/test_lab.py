@@ -333,6 +333,8 @@ def _constant_field():
     (lambda: oscillation_profile(_constant_field(), (0.0, 0.0), 2.0, 0.5, 3, base_radius=0.004),
      EmptyIntersection, "no cells"),
     (lambda: oscillation_profile(_constant_field(), (0.0, 0.0), 2.0, 0.5, -1), ValueError, "k_max"),
+    (lambda: oscillation_profile(_constant_field(), (0.0, 0.0), 2.0, 0.5, True), ValueError, "k_max"),
+    (lambda: oscillation_profile(_constant_field(), (0.0, 0.0), 2.0, 0.5, 2.0), ValueError, "k_max"),
     (lambda: oscillation_profile(_constant_field(), (0.0, 0.0), 2.0, 0.5, 3).series("bogus"),
      ValueError, "unknown quantity"),
     (lambda: geometric_iteration_check(_constant_field(), (0.0, 0.0), 0.5, 2.0, 1.0, 3),
@@ -343,20 +345,58 @@ def _constant_field():
      ValueError, "lam must lie"),
     (lambda: geometric_iteration_check(_constant_field(), (0.0, 0.0), 0.5, 2.0, 0.5, -1),
      ValueError, "k_max"),
+    (lambda: geometric_iteration_check(_constant_field(), (0.0, 0.0), 0.5, 2.0, 0.5, True),
+     ValueError, "k_max"),
+    (lambda: geometric_iteration_check(_constant_field(), (0.0, 0.0), 0.5, 2.0, 0.5, 2.0),
+     ValueError, "k_max"),
     (lambda: time_direction_oscillations(_constant_field(), (0.0, 0.0), 2.0, 1.0, 3),
      ValueError, "lam must lie"),
     (lambda: time_direction_oscillations(_constant_field(), (0.0, 0.0), 2.0, 0.5, -1),
+     ValueError, "k_max"),
+    (lambda: time_direction_oscillations(_constant_field(), (0.0, 0.0), 2.0, 0.5, True),
+     ValueError, "k_max"),
+    (lambda: time_direction_oscillations(_constant_field(), (0.0, 0.0), 2.0, 0.5, 2.0),
      ValueError, "k_max"),
     # the first segment (-0.31, 0.5] starts before the grid's first time
     (lambda: time_direction_oscillations(sample(lambda x, t: t, GridSpec.one_d(-1, 1, 41, 0, 1, 101)),
                                          (0.0, 0.5), 2.0, 0.5, 3, base_radius=0.9),
      CylinderOutsideDomain, "escapes the grid"),
-], ids=["base_cylinder_without_cells", "negative_k_max", "unknown_series",
+], ids=["base_cylinder_without_cells", "negative_k_max", "bool_k_max", "float_k_max", "unknown_series",
         "geometric_lam_1", "geometric_lam_0", "geometric_lam_2", "geometric_negative_k_max",
-        "time_direction_lam_1", "time_direction_negative_k_max", "time_direction_segment_escapes"])
+        "geometric_bool_k_max", "geometric_float_k_max", "time_direction_lam_1",
+        "time_direction_negative_k_max", "time_direction_bool_k_max", "time_direction_float_k_max",
+        "time_direction_segment_escapes"])
 def test_lab_rejects_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_every_level_the_walker_yields_inside_the_grid_holds_cells(dim):
+    """A level with tau >= max dx and tau^theta >= dt whose cylinder lies in the grid
+    holds a cell centre, so the ladder never meets an empty level after k = 0."""
+    from holderlab.geometry import make_cylinder
+    from holderlab.lab import _walk_ladder
+
+    rng = np.random.default_rng(29 + dim)
+    levels = 0
+    for _ in range(300):
+        lo = rng.uniform(-2.0, 0.0, dim)
+        hi = lo + rng.uniform(0.5, 3.0, dim)
+        grid = GridSpec(dim, tuple(zip(lo.tolist(), hi.tolist())), tuple(rng.integers(5, 60, dim).tolist()),
+                        (0.0, 1.0), int(rng.integers(3, 200)))
+        field = sample(expression("zero"), grid)
+        theta, lam = rng.uniform(1.0, 2.0), rng.uniform(0.1, 0.5)
+        base = max(grid.dx) * (1.0 if rng.random() < 0.3 else rng.uniform(1.0, 4.0))
+        x0 = rng.uniform(lo + base, hi - base) if (hi - lo > 2 * base).all() else (lo + hi) / 2
+        t0 = 1.0 if rng.random() < 0.3 else rng.uniform(0.0, 1.0)
+        center = (*x0.tolist(), t0)
+        if base**theta < grid.dt or not make_cylinder(center, base, theta).contained_in(grid):
+            continue
+        for _, _, cyl in _walk_ladder(grid, center, theta, lam, 10, base):
+            assert _region_cells(field, cyl).size > 0
+            levels += 1
+    assert levels > 200
 
 
 @pytest.mark.parametrize("grid, center", [

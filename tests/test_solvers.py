@@ -716,7 +716,7 @@ def test_stepper_fluxes_reuse_its_arrays_with_a_fresh_steppers_bits(dim, boundar
     stepper = _Stepper(params, cfg, g)
     first, _ = stepper.fluxes(u_first)
     arrays = [diff for _, diff in first]
-    stepper.apply(u_first, 1e-3, first, None)  # leaves the arrays scaled by dt
+    stepper.apply(u_first, 1e-3, None)  # leaves the arrays scaled by dt
     second, d_max = stepper.fluxes(u_second)
     assert second is first
     assert all(a is b for a, (_, b) in zip(arrays, second))
@@ -789,7 +789,7 @@ def test_a_periodic_step_adds_only_the_wrapped_face_flux_to_the_first_slab(param
     diffs, _ = stepper.fluxes(u)
     first, wrap = diffs[-1]  # the last axis' wrapped-face flux, scaled by dt in place below
     assert first == (slice(None), slice(0, 1))
-    stepper.apply(u, 1e-4, diffs, None)
+    stepper.apply(u, 1e-4, None)
     assert np.abs(wrap).min() > 0.0
     assert u[:, :1].tobytes() == (before[:, :1] + wrap).tobytes()
 

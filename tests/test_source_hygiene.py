@@ -1,4 +1,4 @@
-"""Code that nothing uses gets deleted: every import is used, every private name is read."""
+"""Code that nothing uses gets deleted: every import is used, every private name and parameter is read."""
 
 import ast
 from pathlib import Path
@@ -51,6 +51,23 @@ def test_every_private_name_is_read_outside_its_definition(module):
               if name.startswith("_") and not name.startswith("__")
               and not any(name in reads for other, reads in READS if other is not stmt)]
     assert unused == []
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_parameter_is_read_by_its_function(module):
+    # a caller's argument that the body never reads is silently ignored
+    unread = []
+    for fn in ast.walk(MODULES[module]):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                  if arg is not None]
+        read = {sub.id for stmt in fn.body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unread += [f"{fn.name}({name})" for name in params
+                   if name not in read and name not in ("self", "cls") and not name.startswith("_")]
+    assert unread == []
 
 
 # module -> its ``__all__``, for every module that declares one

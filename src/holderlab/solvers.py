@@ -16,6 +16,11 @@ stepper, ``_Stepper``, runs this update in every dimension on the raveled node
 array, where every axis' faces are two contiguous slices; ``residual`` reuses its
 flux differences.  A PERIODIC boundary adds the wrapped-face flux to each axis'
 first node slab and copies it to the last.
+On an axis with h = 2^-j, j >= 0, the flux differences leave out 1/h and ``apply``
+scales them by dt 2^j: scaling by 2^j is exact unless it overflows, so both orders
+round dt (F_hi - F_lo) 2^j once and u keeps every bit (h > 1 keeps its 1/h pass, as
+2^-j can round a subnormal).  Where (F_hi - F_lo) 2^j overflows, the folded product
+may stay finite where a separate 1/h pass gives +-inf.
 Sub-stepping keeps each internal step below the CFL bound
 cfl_safety / (2 D_max sum_a h_a^-2); stored time levels are hit exactly.
 """
@@ -92,6 +97,11 @@ class HeatSeparable:
     amplitude: float = 1.0
     mode: int = 1
 
+    def __post_init__(self):
+        _check_dimension(self.n)
+        if not -math.inf < self.extent[0] < self.extent[1] < math.inf:  # NaN fails too
+            raise ValueError(f"extent must be a finite interval lo < hi, got {self.extent!r}")
+
     def eval(self, *coords):
         if len(coords) != self.n + 1:
             raise ValueError(f"eval takes {self.n + 1} coordinates (x[, y], t), got {len(coords)}")
@@ -121,6 +131,9 @@ class BarenblattPME:
     def __post_init__(self):
         if not self.m > 1.0:
             raise ValueError("Barenblatt profile requires m > 1")
+        _check_dimension(self.n)
+        if not 0.0 < self.mass < math.inf:  # NaN fails too
+            raise ValueError(f"Barenblatt profile requires a finite mass > 0, got {self.mass!r}")
 
     @cached_property
     def a(self) -> float:
@@ -176,6 +189,11 @@ class PowerProfile:
         *xs, _t = coords
         with np.errstate(divide="ignore"):  # a negative power is inf at its centre
             return _dist2(xs, self.center) ** (self.s / 2.0)
+
+
+def _check_dimension(n):
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
 # kept for the benchmark, which calls and traces it by this name; elsewhere ``sample(ref.eval, grid)``
@@ -276,11 +294,12 @@ class _Stepper:
     (``diff[pair]`` is a's edge slabs); the wrapped-face flux into the first slab
     (PERIODIC).  Each ``flux`` is a row of ``faces_d``, 0 past the N - s_a faces.
     ``node_grads[a]`` is grad u along a on the flat nodes (2D, p != 2), ``source_dt``
-    dt f, ``dt`` the 0-d step.  ``_bind`` lists, once per array advanced, the passes
-    on its views of one ``fluxes`` call, the scheme's rounding steps with the
-    family's chosen once from (p, m), and of one ``apply`` call: ``updates``, each
-    difference scaled by dt and added to its nodes, and ``edges``, the PERIODIC
-    last-slab copy or the Dirichlet-zero edge fill.  They overwrite the work arrays.
+    dt f, ``dt`` the 0-d step, ``folds[a]`` (0-d dt/h, 1/h) where h = 2^-j, j >= 0.
+    ``_bind`` lists, once per array advanced, the passes on its views of one ``fluxes``
+    call, the scheme's rounding steps with the family's chosen once from (p, m), and
+    of one ``apply`` call: ``updates``, each difference scaled by dt (dt/h where
+    folded) and added to its nodes, and ``edges``, the PERIODIC last-slab copy or the
+    Dirichlet-zero edge fill.  They overwrite the work arrays.
     """
 
     def __init__(self, params, cfg, grid):
@@ -292,6 +311,8 @@ class _Stepper:
         self.axes = [(math.prod(grid.nx[a + 1:]), h, *(_axis_index(grid.dim, a, i) for i in cuts))
                      for a, h in enumerate(grid.dx)]
         self.dt, self.faces_d, n = np.empty(()), np.zeros((grid.dim, nodes.size)), nodes.size
+        self.folds = {a: (np.empty(()), 1.0 / h) for a, h in enumerate(grid.dx)  # h = 2^-j, j >= 0
+                      if math.frexp(h)[0] == 0.5 and h <= 1.0}
         self.node_grads = [np.empty(n) for _ in grid.dx] if params.p != 2.0 and grid.dim > 1 else []
         self.work, self.diffs = [], []
         for (s, _, first, *_), flux in zip(self.axes, self.faces_d):
@@ -325,14 +346,18 @@ class _Stepper:
             calls += _diffusivity_calls(self.params, self.cfg, u_lo, u_hi, grad2, flux_f)
             calls += [(flux[last].fill, (0.0,))] if a else []  # the wrap faces, before F and d_max
             calls += [(np.multiply, (grad_f, flux_f, grad_f)),  # F = grad u * D, the same bits as D * grad u
-                      (np.subtract, (grad_f[s:], grad_f[:n - 2 * s], diff_f)), (divide, (diff_f, by, diff_f))]
+                      (np.subtract, (grad_f[s:], grad_f[:n - 2 * s], diff_f))]
+            calls += [] if a in self.folds else [(divide, (diff_f, by, diff_f))]  # folded: ``apply``'s
             if wrap is not None:  # x + -0.0 is x for every x, and -0.0 * dt is -0.0
-                calls += [(np.subtract, (grad[first], grad[penult], wrap)), (divide, (wrap, by, wrap))] + \
+                calls += [(np.subtract, (grad[first], grad[penult], wrap))] + \
+                    ([] if a in self.folds else [(divide, (wrap, by, wrap))]) + \
                     ([(diff[pair].fill, (-0.0,))] if a else [])
         self.u, self.calls = u, grads + calls  # the tangential term reads every axis' gradients
         nodes = [(uf if isinstance(index, slice) else u)[index] for index, _ in self.diffs]
-        self.updates = [op for x, (_, diff) in zip(nodes, self.diffs)  # through a view: ``u[i] += d`` copies
-                        for op in ((np.multiply, (diff, self.dt, diff)), (np.add, (x, diff, x)))]
+        # each difference's dt, dt/h on a folded axis: the inner ones, then the PERIODIC wraps
+        scales = [self.folds[a][0] if a in self.folds else self.dt for a in range(len(self.axes))] * 2
+        self.updates = [op for x, (_, diff), dt in zip(nodes, self.diffs, scales)  # ``u[i] += d`` would copy
+                        for op in ((np.multiply, (diff, dt, diff)), (np.add, (x, diff, x)))]
         zero = _zero_edges(u) if self.cfg.boundary is Boundary.DIRICHLET_ZERO else []
         self.edges = [(edge.fill, (0.0,)) for edge in zero] + \
             [(np.copyto, (u[last], u[first])) for _, _, first, _, last, _ in self.axes if self.periodic]
@@ -342,7 +367,8 @@ class _Stepper:
         and the largest face D: each axis' ``(inner, (F_hi - F_lo) / h)``, ``inner``
         the flat slice ``s_a:N-s_a``, then, on a PERIODIC boundary, each axis'
         wrapped-face flux into its first slab, ``(first, (F[first] - F[last]) / h)``,
-        ``first`` an index tuple of the node array.  The list and the differences are
+        ``first`` an index tuple of the node array; on an axis a in ``folds`` both
+        leave out the factor 1/h = ``folds[a][1]``.  The list and the differences are
         the stepper's own, the same objects at every call, and the next call
         overwrites them.  d_max is one ``argmax`` of ``faces_d``, which stops at the
         first NaN, so d_max is NaN if any face D is.  ``apply`` scales the differences
@@ -357,10 +383,13 @@ class _Stepper:
     def apply(self, u, dt, f_nodes):
         """Advance u in place by one step dt from the last ``fluxes(u)`` call's differences:
         the bound ``updates``, dt f, then the bound ``edges``, so only an oracle boundary
-        is left to the caller.  The differences stay scaled by dt until the next ``fluxes``."""
+        is left to the caller.  The differences stay scaled by dt, or by dt/h on a folded
+        axis, until the next ``fluxes``."""
         if u is not self.u:
             self._bind(u)
         self.dt[()] = dt
+        for dt_h, inv_h in self.folds.values():  # exact: inv_h is a power of two
+            dt_h[()] = dt * inv_h
         for fn, args in self.updates:
             fn(*args)
         if f_nodes is not None:
@@ -383,15 +412,14 @@ def _boundary_setter(cfg, grid, oracle, u) -> Callable:
         return lambda t: [edge.fill(0.0) for edge in edges]
     if oracle is None:
         raise ValueError("dirichlet_oracle boundary requires a reference solution")
-    edges = [_axis_index(grid.dim, a, i) for a in range(grid.dim) for i in (0, -1)]
-    mesh = grid.node_mesh()
-    edge_coords = [[np.array(x[edge], dtype=float) for x in mesh] for edge in edges]
-    edge_times = [np.empty(xs[0].shape) for xs in edge_coords]
+    on_edge = np.ones(u.shape, dtype=bool)
+    on_edge[(slice(1, -1),) * u.ndim] = False
+    nodes = np.flatnonzero(on_edge)  # every edge node once, corners included
+    edge_xs = [x.reshape(-1)[nodes] for x in grid.node_mesh()]
+    uf = u.reshape(-1, copy=False)  # a view or an error: the oracle's values are written through it
 
     def set_oracle(t):
-        for edge, xs, times in zip(edges, edge_coords, edge_times):
-            times.fill(t)  # one oracle call per edge, on its time array refilled in place
-            u[edge] = oracle.eval(*xs, times)
+        uf[nodes] = oracle.eval(*edge_xs, t)  # one call on every edge node, at a scalar t
     return set_oracle
 
 
@@ -420,7 +448,8 @@ def solve(
     cfg : SolverConfig
     oracle
         Reference solution for the DIRICHLET_FROM_ORACLE boundary; its ``eval``
-        is a function of (x, t), called once per edge with a time array.
+        is a function of (x, t), called once per substep on every edge node,
+        with a scalar t.
 
     Raises
     ------
@@ -501,8 +530,8 @@ def residual(field: SpaceTimeField, params: EquationParams,
         u_t = (field.values[k + 1] - field.values[k - 1]) / (2.0 * g.dt)
         diffs, _ = stepper.fluxes(u)
         div = np.zeros(u.size)
-        for index, diff in diffs[:g.dim]:  # flat inner slices; the wrapped-face terms land outside core
-            div[index] += diff
+        for a, (index, diff) in enumerate(diffs[:g.dim]):  # flat inner slices; wrapped faces are outside core
+            div[index] += diff * stepper.folds[a][1] if a in stepper.folds else diff
         defect = u_t[core] - div.reshape(u.shape)[core]
         if source is not None:
             defect = defect - source.eval_nodes(g, g.t_nodes[k])[core]

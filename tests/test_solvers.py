@@ -107,8 +107,9 @@ def test_power_profile_centre_needs_one_entry_per_axis():
         PowerProfile(1.0, (0.5,)).eval(np.array([0.0]), np.array([3.0]), 0.0)
 
 
-@pytest.mark.parametrize("ref", [HeatSeparable(1), HeatSeparable(2), BarenblattPME(2.0, 1),
-                                 BarenblattPME(3.0, 2)], ids=lambda r: f"{type(r).__name__}_{r.n}d")
+@pytest.mark.parametrize("ref", [HeatSeparable(1), HeatSeparable(2), HeatSeparable(3), BarenblattPME(2.0, 1),
+                                 BarenblattPME(3.0, 2), BarenblattPME(2.0, 3)],
+                         ids=lambda r: f"{type(r).__name__}_{r.n}d")
 def test_exact_solutions_need_one_coordinate_per_axis(ref):
     x = np.array([0.25])
     for count in (ref.n, ref.n + 2):  # 1D constants on a 2D point read a wrong value
@@ -487,6 +488,53 @@ def test_residual_solver_vs_sampled_barenblatt_2d():
     assert r_solved <= 10.0 * r_sampled
 
 
+def _literal_defect(field, params, cfg):
+    """The max interior defect as written out: u_t by the two-sided difference, less
+    each axis' (F_hi - F_lo) / h summed onto the inner nodes in axis order, with F and
+    D as in ``_literal_scheme``."""
+    g, p, m, eps = field.grid, params.p, params.m, cfg.flux_regularization_eps
+    core = (slice(1, -1),) * g.dim
+
+    def along(a, i):
+        return tuple(i if b == a else slice(None) for b in range(g.dim))
+
+    worst = 0.0
+    for k in range(1, g.nt - 1):
+        u = field.values[k]
+        u_t = (field.values[k + 1] - field.values[k - 1]) / (2.0 * g.dt)
+        node_grads = [np.gradient(u, h, axis=a) for a, h in enumerate(g.dx)][::-1]
+        div = np.zeros(u.shape)
+        for a, h in enumerate(g.dx):
+            lo, hi = along(a, slice(None, -1)), along(a, slice(1, None))
+            grad = (u[hi] - u[lo]) / h
+            grad2 = grad * grad
+            if g.dim == 2:
+                grad2 = grad2 + (0.5 * (node_grads[a][hi] + node_grads[a][lo])) ** 2
+            d = m * np.abs(0.5 * (u[lo] + u[hi])) ** (m - 1.0) * (grad2 + eps**2) ** ((p - 2.0) / 2.0)
+            flux = d * grad
+            div[along(a, slice(1, -1))] += (flux[hi] - flux[lo]) / h
+        worst = max(worst, float(np.abs(u_t[core] - div[core]).max()))
+    return worst
+
+
+@pytest.mark.parametrize("boundary", [Boundary.DIRICHLET_ZERO, Boundary.PERIODIC])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("pm", [(2.0, 1.0), (3.0, 1.0), (2.0, 2.0), (3.0, 1.5)],
+                         ids=["heat", "p_parabolic", "pme", "dnl"])
+def test_residual_is_the_literal_defect_on_power_of_two_grids(pm, dim, boundary):
+    """On spacings 1/16 and 1/8 the stepper's flux differences leave out 1/h, and
+    ``residual`` puts it back: its defect is bitwise the written-out one."""
+    from holderlab.solvers import _Stepper
+
+    params = EquationParams(EquationKind.DOUBLY_NONLINEAR, dim, p=pm[0], m=pm[1])
+    g = GridSpec(dim, ((0.0, 1.0),) * dim, (17,) if dim == 1 else (17, 9), (0.0, 0.01), 5)
+    cfg = SolverConfig(boundary=boundary)
+    assert len(_Stepper(params, cfg, g).folds) == dim
+    rng = np.random.default_rng(7)
+    field = sample(lambda *c: rng.uniform(-0.5, 1.0, np.broadcast(*c).shape), g)
+    assert residual(field, params, cfg=cfg).max_residual == _literal_defect(field, params, cfg)
+
+
 @pytest.mark.parametrize("params", [
     EquationParams.heat(2),
     EquationParams.p_parabolic(3.0, 2),
@@ -537,6 +585,47 @@ def test_two_d_oracle_dirichlet_edges_equal_oracle():
         assert np.array_equal(got.values[edge], exact.values[edge])
 
 
+class _TimeOnly:
+    """An oracle whose ``eval`` is a scalar function of t alone."""
+
+    @staticmethod
+    def eval(*coords):
+        return 1.0 + 0.5 * coords[-1]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["barenblatt", "heat", "time_only"])
+def test_the_oracle_boundary_is_one_call_on_every_edge_node(kind, dim):
+    """After a solve every edge node, corners included, holds the oracle's value at
+    the last substep's time, bitwise as one evaluation per edge on a time array; each
+    call takes a scalar t, and a scalar result fills every edge node."""
+    if kind == "barenblatt":  # the box cuts the support, so the edges carry nonzero values
+        ref, params = BarenblattPME(2.0, dim, 0.5), EquationParams.pme(2.0, dim)
+        g = GridSpec(dim, ((-1.2, 1.0), (-1.0, 1.3))[:dim], (23, 26)[:dim], (1.0, 1.3), 4)
+    else:
+        ref = HeatSeparable(dim, extent=(-0.5, 1.0)) if kind == "heat" else _TimeOnly()
+        params = EquationParams.heat(dim)
+        g = GridSpec(dim, ((0.0, 1.0),) * dim, (17, 9)[:dim], (0.0, 0.01), 4)
+    times = []
+
+    class Recording:
+        def eval(self, *coords):
+            times.append(coords[-1])
+            return ref.eval(*coords)
+
+    init = np.zeros(g.spatial_shape()) if kind == "time_only" else ref.eval(*g.node_mesh(), g.t_extent[0])
+    cfg = SolverConfig(boundary=Boundary.DIRICHLET_FROM_ORACLE)
+    got = solve(params, None, init, g, cfg, oracle=Recording())
+    assert len(times) > g.nt and all(isinstance(t, float) for t in times)
+    mesh = g.node_mesh()
+    edges = [tuple(i if b == a else slice(None) for b in range(dim)) for a in range(dim) for i in (0, -1)]
+    for edge in edges:
+        xs = [x[edge] for x in mesh]
+        want = ref.eval(*xs, np.full(xs[0].shape, times[-1]))
+        assert np.any(want != 0.0)
+        assert got.values[-1][edge].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("call, error, match", [
     (lambda: SolverConfig(cfl_safety=0.0), ValueError, "cfl_safety"),
     # frozen, so no assignment can get round the checks in __post_init__
@@ -553,10 +642,26 @@ def test_two_d_oracle_dirichlet_edges_equal_oracle():
     (lambda: SolverConfig(max_steps=2.5), ValueError, "max_steps"),
     (lambda: SolverConfig(cfl_safety=True), ValueError, "cfl_safety"),
     (lambda: SolverConfig(flux_regularization_eps=True), ValueError, "flux_regularization_eps"),
+    (lambda: BarenblattPME(2.0, 1, -1.0), ValueError, "mass"),
+    (lambda: BarenblattPME(2.0, 1, 0.0), ValueError, "mass"),
+    (lambda: BarenblattPME(2.0, 1, math.nan), ValueError, "mass"),
+    (lambda: BarenblattPME(2.0, 1, math.inf), ValueError, "mass"),
+    (lambda: BarenblattPME(2.0, 0), ValueError, "n must be"),
+    (lambda: BarenblattPME(2.0, True), ValueError, "n must be"),
+    (lambda: BarenblattPME(2.0, 1.0), ValueError, "n must be"),
+    (lambda: HeatSeparable(n=0), ValueError, "n must be"),
+    (lambda: HeatSeparable(n=True), ValueError, "n must be"),
+    (lambda: HeatSeparable(1, (1.0, 0.0)), ValueError, "extent"),
+    (lambda: HeatSeparable(1, (0.0, 0.0)), ValueError, "extent"),
+    (lambda: HeatSeparable(1, (0.0, math.nan)), ValueError, "extent"),
+    (lambda: HeatSeparable(1, (0.0, math.inf)), ValueError, "extent"),
 ], ids=["cfl_safety_0", "cfl_safety_assigned", "init_shape", "oracle_boundary_without_oracle",
         "free_boundary_at_t_0", "boundary_unknown_value", "boundary_none", "max_steps_0",
         "max_steps_negative", "max_steps_bool", "max_steps_float", "cfl_safety_bool",
-        "flux_regularization_eps_bool"])
+        "flux_regularization_eps_bool", "barenblatt_mass_negative", "barenblatt_mass_0",
+        "barenblatt_mass_nan", "barenblatt_mass_inf", "barenblatt_n_0", "barenblatt_n_bool",
+        "barenblatt_n_float", "heat_n_0", "heat_n_bool", "heat_extent_reversed", "heat_extent_empty",
+        "heat_extent_nan", "heat_extent_inf"])
 def test_solvers_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -826,8 +931,9 @@ def test_the_benchmark_configurations_bind_their_pass_counts(case, m):
     """The passes of one substep on the benchmark's two solver configurations, PME
     in 1D on 801 nodes with zero edges and in 2D on 129^2 with an oracle boundary:
     ``fluxes``' list, and ``apply``'s updates and edge fills.  At m = 2 no flux pass
-    multiplies by a 0-d 1/2 or m; at m = 1.5 both are there.  A pass added back
-    fails the count."""
+    multiplies by a 0-d 1/2 or m; at m = 1.5 both are there.  On the 2D grid's
+    power-of-two axes (h = 1/32) no pass scales a flux difference by h or 1/h:
+    ``apply`` takes 1/h into dt.  A pass added back fails the count."""
     from holderlab.solvers import _Stepper
 
     if case == "2d_oracle":
@@ -837,12 +943,19 @@ def test_the_benchmark_configurations_bind_their_pass_counts(case, m):
         g, cfg = GridSpec.one_d(-1.0, 1.0, 801, 0.0, 0.07, 81), SolverConfig()
     stepper = _Stepper(EquationParams.pme(m, g.dim), cfg, g)
     stepper.fluxes(np.ones(g.spatial_shape()))
-    want = {("1d_zero", 2.0): (7, 3), ("2d_oracle", 2.0): (15, 4),
-            ("1d_zero", 1.5): (10, 3), ("2d_oracle", 1.5): (21, 4)}[case, m]
+    want = {("1d_zero", 2.0): (7, 3), ("2d_oracle", 2.0): (13, 4),
+            ("1d_zero", 1.5): (10, 3), ("2d_oracle", 1.5): (19, 4)}[case, m]
     assert (len(stepper.calls), len(stepper.updates) + len(stepper.edges)) == want
     scales = {x.item() for fn, args in stepper.calls if fn is np.multiply
               for x in args if isinstance(x, np.ndarray) and x.ndim == 0}
     assert {0.5, m} & scales == (set() if m == 2.0 else {0.5, m})
+    diffs = [diff for _, diff in stepper.diffs]
+    on_diffs = {x.item() for fn, args in stepper.calls
+                if any(isinstance(y, np.ndarray) and np.shares_memory(y, d) for y in args for d in diffs)
+                for x in args if isinstance(x, np.ndarray) and x.ndim == 0}
+    h = g.dx[0]
+    assert on_diffs == (set() if case == "2d_oracle" else {h})
+    assert (case == "2d_oracle") == (math.frexp(h)[0] == 0.5)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET_FROM_ORACLE, Boundary.PERIODIC])
@@ -934,10 +1047,10 @@ def test_barenblatt_and_dist2_keep_the_written_out_bits(n, m, t_kind, times, poi
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_solve_calls_the_oracle_once_per_edge_and_the_source_once_per_substep(dim, monkeypatch):
+def test_solve_calls_the_oracle_and_the_source_once_per_substep(dim, monkeypatch):
     """The benchmark derives its substep counters from these call counts: one
-    ``eval_nodes`` per substep, and one oracle ``eval`` per edge at the start
-    and after every substep."""
+    ``eval_nodes`` per substep, and one oracle ``eval`` on every edge node at the
+    start and after every substep."""
     from holderlab.solvers import _Stepper
 
     counts = {"eval": 0, "eval_nodes": 0, "apply": 0}
@@ -963,7 +1076,7 @@ def test_solve_calls_the_oracle_once_per_edge_and_the_source_once_per_substep(di
     substeps = counts["apply"]
     assert substeps > g.nt - 1
     assert counts["eval_nodes"] == substeps
-    assert counts["eval"] == 2 * dim * (1 + substeps)
+    assert counts["eval"] == 1 + substeps
 
 
 @pytest.mark.parametrize("h", [1 / 32, 0.5, 4.0, 2.0**-60, 0.0025, 0.1, 3.0])
